@@ -10,9 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -24,18 +22,8 @@ from .schedules import CavityMode, ExpDecay, Ramp, SinExpDecay, time_grid
 from .states import BathThermal, BlochVector
 
 _SCHEDULES = {"exp": ExpDecay, "sinexp": SinExpDecay, "ramp": Ramp, "cavity": CavityMode}
-
-
-def worker_count() -> int:
-    """Worker cap from MPEMBA_QSIM_THREADS (default: up to 4)."""
-    raw = os.environ.get("MPEMBA_QSIM_THREADS", "")
-    if raw.strip():
-        try:
-            n = int(raw)
-        except ValueError:
-            raise SystemExit(f"MPEMBA_QSIM_THREADS must be an integer, got {raw!r}")
-        return max(1, n)
-    return max(1, min(4, os.cpu_count() or 1))
+# CSV rows are formatted in blocks of about this many cells.
+CSV_CHUNK_CELLS = 8192
 
 
 def _parse_state(token: str) -> oscillator.InitialState:
@@ -73,16 +61,14 @@ def _parse_beta(token: str) -> float:
     return beta
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
-    rows = len(columns[0])
+    rows = max(1, CSV_CHUNK_CELLS // len(columns))
+    row_format = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for i in range(rows):
-            fh.write(",".join(_fmt(float(col[i])) for col in columns) + "\n")
+        for start in range(0, len(columns[0]), rows):
+            block = np.column_stack([col[start : start + rows] for col in columns])
+            fh.write((row_format * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _crossing_json(report, labels_meta: dict) -> dict:
@@ -128,12 +114,7 @@ def cmd_oscillator(args) -> int:
         dist = oscillator.trace_distance_closed
     else:
         dist = oscillator.hs_distance_closed
-
-    def column(state):
-        return np.array([dist(state, float(c)) for c in cos2])
-
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        columns = list(pool.map(column, args.states))
+    columns = [dist(state, cos2) for state in args.states]
 
     labels = [_state_label(s) for s in args.states]
     out = Path(args.out)
@@ -157,28 +138,21 @@ def cmd_oscillator(args) -> int:
     return 0
 
 
-def _tls_distance_column(args, bath, r, phase, cos2) -> np.ndarray:
+def _tls_columns(args, bath, r, phase, cos2) -> tuple[np.ndarray, np.ndarray | None]:
+    """Distance column of one Bloch vector, and its energy column for jcm."""
     if args.model == "pair":
         if bath.is_zero_temperature:
-            return np.array([tls.tls_pair_trace_distance(r, float(c)) for c in cos2])
-        target = np.diag([bath.p_excited, bath.p_ground]).astype(complex)
-        return np.array(
-            [
-                metrics.trace_distance(tls.tls_pair_evolve(r, bath, float(c)), target)
-                for c in cos2
-            ]
-        )
+            # at zero bath temperature the pair obeys the jcm law in mu_cos2
+            return tls.jcm_trace_distance(r, cos2), None
+        rho_ee, _, rho_eg = tls.tls_pair_components(r, bath, cos2)
+        return metrics.traceless_qubit_distance(rho_ee - bath.p_excited, rho_eg), None
+    rho_ee, rho_eg = tls.jcm_thermal_series(r, bath, phase)
+    energy = tls.tls_energy(rho_ee)
     if bath.is_zero_temperature:
-        return np.array([tls.jcm_trace_distance(r, float(c)) for c in cos2])
+        return tls.jcm_trace_distance(r, cos2), energy
     # Finite-temperature boson bath: distance measured to the zero-temperature
-    # relaxation point, the fixed reference all the figure curves share.
-    target = tls.ground_state()
-    return np.array(
-        [
-            metrics.trace_distance(tls.jcm_thermal_components(r, bath, float(p)), target)
-            for p in phase
-        ]
-    )
+    # relaxation point diag(0, 1), the fixed reference all the figure curves share.
+    return metrics.traceless_qubit_distance(rho_ee, rho_eg), energy
 
 
 def cmd_tls(args) -> int:
@@ -199,29 +173,15 @@ def cmd_tls(args) -> int:
     phase = schedule.phase(grid)
     bath = BathThermal(args.beta)
 
-    def column(r):
-        return _tls_distance_column(args, bath, r, phase, cos2)
-
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        columns = list(pool.map(column, args.bloch))
+    columns, energies = zip(*(_tls_columns(args, bath, r, phase, cos2) for r in args.bloch))
 
     # semicolons keep the labels comma-free for naive CSV consumers
     labels = [f"bloch({r.rx:g};{r.ry:g};{r.rz:g})" for r in args.bloch]
-    header = ["tau"]
-    out_columns = [tau]
-    for lbl, col in zip(labels, columns):
-        header.append(lbl)
-        out_columns.append(col)
+    header = ["tau"] + labels
+    out_columns = [tau, *columns]
     if args.model == "jcm":
-        for r, lbl in zip(args.bloch, labels):
-            energies = np.array(
-                [
-                    tls.tls_energy(tls.jcm_thermal_components(r, bath, float(p)))
-                    for p in phase
-                ]
-            )
-            header.append(f"{lbl}:energy")
-            out_columns.append(energies)
+        header += [f"{lbl}:energy" for lbl in labels]
+        out_columns += energies
 
     out = Path(args.out)
     _write_csv(out, header, out_columns)
@@ -254,13 +214,8 @@ def cmd_tls(args) -> int:
         header = ["tau"]
         cols = [tau]
         for r, lbl in zip(args.bloch, labels):
-            points = [
-                tls.jcm_bloch(r, float(p), args.omega_t0 * float(tt))
-                for p, tt in zip(phase, tau)
-            ]
-            for comp in "xyz":
-                header.append(f"{lbl}:a{comp}")
-                cols.append(np.array([getattr(b, "r" + comp) for b in points]))
+            header += [f"{lbl}:a{comp}" for comp in "xyz"]
+            cols += tls.jcm_bloch_components(r, phase, args.omega_t0 * tau)
         _write_csv(Path(args.traj_out), header, cols)
     return 0
 

@@ -80,18 +80,16 @@ def _crossings_of_difference(
     Consecutive detections closer than one grid cell collapse to the first,
     which suppresses jitter at tangential near-touches.
     """
-    significant = np.abs(delta) > tol
-    idx = np.flatnonzero(significant)
+    idx = np.flatnonzero(np.abs(delta) > tol)
+    hits = np.flatnonzero(delta[idx[:-1]] * delta[idx[1:]] < 0.0)
+    prev, nxt = idx[hits], idx[hits + 1]
+    t_hits = times[prev] + (times[nxt] - times[prev]) * delta[prev] / (delta[prev] - delta[nxt])
     crossings: list[float] = []
     min_gap = float(np.min(np.diff(times)))
-    for prev, nxt in zip(idx[:-1], idx[1:]):
-        if delta[prev] * delta[nxt] < 0.0:
-            t_cross = times[prev] + (times[nxt] - times[prev]) * delta[prev] / (
-                delta[prev] - delta[nxt]
-            )
-            if crossings and t_cross - crossings[-1] <= min_gap:
-                continue
-            crossings.append(float(t_cross))
+    for t_cross in t_hits.tolist():
+        if crossings and t_cross - crossings[-1] <= min_gap:
+            continue
+        crossings.append(t_cross)
     return crossings
 
 
@@ -150,17 +148,14 @@ def alpha_window_scan(
     farther and the pair is reported as not crossing.
     """
     grid = np.asarray(grid, dtype=float)
-    thermal = sample_series(
-        lambda t: trace_distance_closed(Thermal(nbar_a), float(np.exp(-t))),
-        grid,
-        f"thermal:{nbar_a:g}",
+    cos2 = np.exp(-grid)
+    thermal = DistanceSeries(
+        f"thermal:{nbar_a:g}", grid, trace_distance_closed(Thermal(nbar_a), cos2)
     )
     results = []
     for alpha in alphas:
-        coherent = sample_series(
-            lambda t: trace_distance_closed(Coherent(alpha), float(np.exp(-t))),
-            grid,
-            f"coherent:{alpha:g}",
+        coherent = DistanceSeries(
+            f"coherent:{alpha:g}", grid, trace_distance_closed(Coherent(alpha), cos2)
         )
         delta0 = float(thermal.values[0] - coherent.values[0])
         report = detect_crossings(thermal, coherent, tol)

@@ -33,6 +33,18 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     return float(0.5 * np.sum(np.abs(w)))
 
 
+def traceless_qubit_distance(d_ee, d_eg) -> np.ndarray:
+    """Trace distance of two qubit states whose difference is the traceless
+    [[d_ee, d_eg], [conj(d_eg), -d_ee]], elementwise over arrays.
+
+    The eigenvalues are +-sqrt(d_ee^2 + |d_eg|^2), so the distance is that
+    root, clamped to 0 below EIGENVALUE_CLIP as in :func:`trace_distance`.
+    """
+    d_eg = np.asarray(d_eg)
+    root = np.sqrt(d_ee**2 + d_eg.real**2 + d_eg.imag**2)
+    return np.where(root < EIGENVALUE_CLIP, 0.0, root)
+
+
 def hs_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Hilbert-Schmidt (Frobenius) distance sqrt(tr[(rho - sigma)^2])."""
     rho, sigma = _check_same_dims(rho, sigma)

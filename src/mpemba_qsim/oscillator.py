@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import DimensionError, StateError, TruncationError, TruncationWarning
 from .linalg import projector
+from .schedules import check_cos2
 
 DEFAULT_FOCK_DIM = 40
 # Adequacy thresholds for truncated states: population in the top two levels
@@ -60,13 +61,6 @@ class Fock:
 
 
 InitialState = Union[Thermal, Coherent, Fock]
-
-
-def _check_cos2(cos2: float) -> float:
-    cos2 = float(cos2)
-    if not 0.0 <= cos2 <= 1.0:
-        raise ValueError(f"cos2 must lie in [0, 1], got {cos2}")
-    return cos2
 
 
 def _truncation_checks(deficit: float, top_two: float, what: str) -> None:
@@ -163,7 +157,7 @@ def evolve_closed_form(
     ``omega0_t`` is the accumulated free phase; it only rotates the coherent
     amplitude and drops out of every distance to the ground state.
     """
-    cos2 = _check_cos2(cos2)
+    cos2 = float(check_cos2(cos2))
     if isinstance(state, Thermal):
         return np.diag(thermal_populations(state.nbar * cos2, dim)).astype(complex)
     if isinstance(state, Fock):
@@ -174,36 +168,76 @@ def evolve_closed_form(
     raise TypeError(f"unknown initial state {state!r}")
 
 
-def trace_distance_closed(state: InitialState, cos2: float) -> float:
-    """Closed-form trace distance between the evolved state and |0><0|."""
-    cos2 = _check_cos2(cos2)
-    if isinstance(state, Thermal):
-        mean = state.nbar * cos2
-        return mean / (mean + 1.0)
-    if isinstance(state, Coherent):
-        return math.sqrt(-math.expm1(-abs(state.alpha) ** 2 * cos2))
-    if isinstance(state, Fock):
-        return 1.0 - (1.0 - cos2) ** state.n
-    raise TypeError(f"unknown initial state {state!r}")
+def _scalar_or_array(values: np.ndarray):
+    return float(values) if values.ndim == 0 else values
 
 
-def hs_distance_closed(state: InitialState, cos2: float) -> float:
-    """Closed-form Hilbert-Schmidt distance between the evolved state and |0><0|.
+def trace_distance_closed(state: InitialState, cos2):
+    """Closed-form trace distance between the evolved state and |0><0|.
 
-    Coherent states give exactly sqrt(2) times the trace distance; thermal
-    states carry the ratio sqrt((2 m + 2)/(2 m + 1)) with m = nbar * cos2,
-    which tends to sqrt(2) as the state relaxes; Fock states give the
-    binomial sum of squares.
+    ``cos2`` is a scalar (float result) or an array (array result).
     """
-    cos2 = _check_cos2(cos2)
+    c = check_cos2(cos2)
     if isinstance(state, Thermal):
-        m = state.nbar * cos2
-        return math.sqrt((2.0 * m + 2.0) / (2.0 * m + 1.0)) * trace_distance_closed(state, cos2)
+        mean = state.nbar * c
+        return _scalar_or_array(mean / (mean + 1.0))
     if isinstance(state, Coherent):
-        return math.sqrt(2.0 * -math.expm1(-abs(state.alpha) ** 2 * cos2))
+        return _scalar_or_array(np.sqrt(-np.expm1(-abs(state.alpha) ** 2 * c)))
     if isinstance(state, Fock):
         if state.n == 0:
-            return 0.0
-        pops = binomial_populations(state.n, cos2, state.n + 1)
-        return math.sqrt(float(np.sum(pops[1:] ** 2)) + (1.0 - pops[0]) ** 2)
+            return _scalar_or_array(np.zeros_like(c))
+        # 1 - (1 - c)^n, without its cancellation of ~n ulp near c = 0
+        with np.errstate(divide="ignore"):
+            return _scalar_or_array(-np.expm1(state.n * np.log1p(-c)))
     raise TypeError(f"unknown initial state {state!r}")
+
+
+def hs_distance_closed(state: InitialState, cos2):
+    """Closed-form Hilbert-Schmidt distance between the evolved state and |0><0|.
+
+    ``cos2`` is a scalar (float result) or an array (array result).  Coherent
+    states give exactly sqrt(2) times the trace distance; thermal states
+    carry the ratio sqrt((2 m + 2)/(2 m + 1)) with m = nbar * cos2, which
+    tends to sqrt(2) as the state relaxes; Fock states give the binomial sum
+    of squares.
+    """
+    c = check_cos2(cos2)
+    if isinstance(state, Thermal):
+        m = state.nbar * c
+        ratio = np.sqrt((2.0 * m + 2.0) / (2.0 * m + 1.0))
+        return _scalar_or_array(ratio * trace_distance_closed(state, c))
+    if isinstance(state, Coherent):
+        return _scalar_or_array(np.sqrt(2.0 * -np.expm1(-abs(state.alpha) ** 2 * c)))
+    if isinstance(state, Fock):
+        return _scalar_or_array(_fock_hs_distance(state.n, c))
+    raise TypeError(f"unknown initial state {state!r}")
+
+
+def _fock_hs_distance(n_fock: int, cos2: np.ndarray) -> np.ndarray:
+    """sqrt(sum_k>0 p_k^2 + (1 - p_0)^2) for Binomial(n_fock, cos2) populations p_k.
+
+    Streams over the n_fock + 1 terms, accumulating the normalization and the
+    squares, so memory stays at a few arrays of the input's size.  The
+    endpoints are exact: 0 at cos2 = 0 (and for n_fock = 0), sqrt(2) at
+    cos2 = 1.
+    """
+    c = np.atleast_1d(cos2)
+    out = np.zeros_like(c)
+    if n_fock > 0:
+        out[c == 1.0] = math.sqrt(2.0)
+        interior = (c > 0.0) & (c < 1.0)
+        log_c = np.log(c[interior])
+        log_s = np.log1p(-c[interior])
+        total = np.zeros_like(log_c)
+        squares = np.zeros_like(log_c)
+        for k in range(n_fock + 1):
+            log_binom = math.lgamma(n_fock + 1) - math.lgamma(k + 1) - math.lgamma(n_fock - k + 1)
+            term = np.exp(log_binom + k * log_c + (n_fock - k) * log_s)
+            total += term
+            if k == 0:
+                p0 = term
+            else:
+                squares += term * term
+        # normalizing by the summed terms kills ~1e-16 drift; the exact sum is 1
+        out[interior] = np.sqrt(squares / total**2 + (1.0 - p0 / total) ** 2)
+    return out.reshape(np.shape(cos2))

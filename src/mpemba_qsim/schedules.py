@@ -31,6 +31,15 @@ class ScheduleSample:
     phase: float
 
 
+def check_cos2(values, name: str = "cos2") -> np.ndarray:
+    """``values`` as a float array, rejecting anything outside [0, 1] (NaN included)."""
+    c = np.asarray(values, dtype=float)
+    inside = (c >= 0.0) & (c <= 1.0)
+    if not np.all(inside):
+        raise ValueError(f"{name} must lie in [0, 1], got {c[~inside].flat[0]}")
+    return c
+
+
 def _check_times(t):
     arr = np.asarray(t, dtype=float)
     if np.any(arr < 0.0):

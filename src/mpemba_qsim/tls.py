@@ -14,12 +14,15 @@ import math
 import numpy as np
 
 from .errors import DimensionError, NoCrossingError, StateError, TruncationError
+from .schedules import check_cos2
 from .states import BathThermal, BlochVector
 
 # Series truncation for a thermal boson bath: keep terms until the Boltzmann
 # weight drops below BOLTZMANN_CUT, never more than SERIES_CAP of them.
 BOLTZMANN_CUT = 1e-14
 SERIES_CAP = 4000
+# Phases per block of the thermal series: about this many (phase, level) cells.
+SERIES_CHUNK_CELLS = 1 << 16
 
 
 def ground_state() -> np.ndarray:
@@ -27,33 +30,34 @@ def ground_state() -> np.ndarray:
     return np.diag([0.0, 1.0]).astype(complex)
 
 
+def _qubit_matrix(rho_ee, rho_gg, rho_eg) -> np.ndarray:
+    rho_eg = complex(rho_eg)
+    return np.array([[rho_ee, rho_eg], [rho_eg.conjugate(), rho_gg]], dtype=complex)
+
+
+def tls_pair_components(r: BlochVector, bath: BathThermal, mu_cos2, omega_t=0.0):
+    """Populations (rho_ee, rho_gg) and coherence rho_eg of a qubit exchanging
+    excitation with a thermal partner qubit.
+
+    ``mu_cos2`` is cos^2 of the accumulated exchange phase, a scalar or an
+    array; ``omega_t`` the accumulated free phase on the coherence.
+    """
+    c2 = check_cos2(mu_cos2, "mu_cos2")
+    s2 = 1.0 - c2
+    pe, pg = bath.p_excited, bath.p_ground
+    up = 0.5 * (1.0 + r.rz)
+    dn = 0.5 * (1.0 - r.rz)
+    rho_ee = up * pe + up * pg * c2 + dn * pe * s2
+    rho_gg = dn * pg + dn * pe * c2 + up * pg * s2
+    rho_eg = 0.5 * (r.rx - 1j * r.ry) * np.exp(-1j * omega_t) * np.sqrt(c2)
+    return rho_ee, rho_gg, rho_eg
+
+
 def tls_pair_evolve(
     r: BlochVector, bath: BathThermal, mu_cos2: float, omega_t: float = 0.0
 ) -> np.ndarray:
-    """Reduced state of a qubit exchanging excitation with a thermal partner qubit.
-
-    ``mu_cos2`` is cos^2 of the accumulated exchange phase; ``omega_t`` the
-    accumulated free phase on the coherence.
-    """
-    if not 0.0 <= mu_cos2 <= 1.0:
-        raise ValueError(f"mu_cos2 must lie in [0, 1], got {mu_cos2}")
-    pe, pg = bath.p_excited, bath.p_ground
-    c2, s2 = mu_cos2, 1.0 - mu_cos2
-    up = 0.5 * (1.0 + r.rz)
-    dn = 0.5 * (1.0 - r.rz)
-    rho11 = up * pe + up * pg * c2 + dn * pe * s2
-    rho22 = dn * pg + dn * pe * c2 + up * pg * s2
-    rho12 = 0.5 * (r.rx - 1j * r.ry) * np.exp(-1j * omega_t) * math.sqrt(c2)
-    return np.array([[rho11, rho12], [np.conj(rho12), rho22]], dtype=complex)
-
-
-def tls_pair_trace_distance(r: BlochVector, mu_cos2: float) -> float:
-    """Trace distance from the evolved pair state to diag(0, 1) at zero bath temperature."""
-    if not 0.0 <= mu_cos2 <= 1.0:
-        raise ValueError(f"mu_cos2 must lie in [0, 1], got {mu_cos2}")
-    return 0.5 * math.sqrt(
-        (1.0 + r.rz) ** 2 * mu_cos2**2 + (r.rx**2 + r.ry**2) * mu_cos2
-    )
+    """Reduced 2x2 state of :func:`tls_pair_components` at one exchange phase."""
+    return _qubit_matrix(*tls_pair_components(r, bath, float(mu_cos2), omega_t))
 
 
 def jcm_propagator_closed(phi: float, dim: int) -> np.ndarray:
@@ -97,6 +101,43 @@ def _bath_weights(bath: BathThermal, n_max: int | None = None) -> np.ndarray:
     return np.exp(-b * n) * (1.0 - math.exp(-b))
 
 
+def jcm_thermal_series(
+    r: BlochVector,
+    bath: BathThermal,
+    phi,
+    omega_t=0.0,
+    n_max: int | None = None,
+):
+    """Excited population rho_ee and coherence rho_eg of the qubit after
+    exchanging with a thermal boson mode, for a scalar or an array of phases.
+
+    Thermal series over bath levels n with weights e^(-b n)/z_b; at zero
+    temperature it collapses to the single n = 0 term.  The phases are
+    summed in blocks of about SERIES_CHUNK_CELLS (phase, level) cells, each
+    row in the same order as a single-phase sum.
+    """
+    w = _bath_weights(bath, n_max)
+    phi = np.asarray(phi, dtype=float)
+    flat = phi.reshape(-1)
+    roots = np.sqrt(np.arange(len(w) + 1, dtype=float))
+    pop_up, pop_dn, coh = (np.empty(flat.size) for _ in range(3))
+    rows = max(1, SERIES_CHUNK_CELLS // len(w))
+    for start in range(0, flat.size, rows):
+        block = slice(start, start + rows)
+        p = flat[block, None]
+        cos_k = np.cos(p * roots)  # cos(phi sqrt(k)), k = 0 .. n_max + 1
+        cos_up, cos_dn = cos_k[:, 1:], cos_k[:, :-1]
+        sin_dn = np.sin(p * roots[:-1])
+        pop_up[block] = np.sum(cos_up**2 * w, axis=1)
+        pop_dn[block] = np.sum(sin_dn**2 * w, axis=1)
+        coh[block] = np.sum(cos_up * cos_dn * w, axis=1)
+    up = 0.5 * (1.0 + r.rz)
+    dn = 0.5 * (1.0 - r.rz)
+    rho_ee = up * pop_up + dn * pop_dn
+    rho_eg = 0.5 * (r.rx - 1j * r.ry) * np.exp(-1j * omega_t) * coh
+    return rho_ee.reshape(phi.shape), rho_eg.reshape(phi.shape)
+
+
 def jcm_thermal_components(
     r: BlochVector,
     bath: BathThermal,
@@ -104,52 +145,44 @@ def jcm_thermal_components(
     omega_t: float = 0.0,
     n_max: int | None = None,
 ) -> np.ndarray:
-    """Reduced qubit state after exchanging with a thermal boson mode.
+    """Reduced 2x2 qubit state of :func:`jcm_thermal_series` at one phase."""
+    rho_ee, rho_eg = jcm_thermal_series(r, bath, float(phi), omega_t, n_max)
+    return _qubit_matrix(rho_ee, 1.0 - rho_ee, rho_eg)
 
-    Thermal series over bath levels n with weights e^(-b n)/z_b; at zero
-    temperature it collapses to the single n = 0 term.
-    """
-    w = _bath_weights(bath, n_max)
-    n = np.arange(len(w), dtype=float)
-    cos_up = np.cos(phi * np.sqrt(n + 1.0))
-    cos_dn = np.cos(phi * np.sqrt(n))
-    sin_dn = np.sin(phi * np.sqrt(n))
-    up = 0.5 * (1.0 + r.rz)
-    dn = 0.5 * (1.0 - r.rz)
-    rho11 = up * float(np.sum(cos_up**2 * w)) + dn * float(np.sum(sin_dn**2 * w))
-    rho12 = 0.5 * (r.rx - 1j * r.ry) * np.exp(-1j * omega_t) * float(np.sum(cos_up * cos_dn * w))
-    return np.array([[rho11, rho12], [np.conj(rho12), 1.0 - rho11]], dtype=complex)
+
+def jcm_bloch_components(r: BlochVector, phi, omega_t=0.0):
+    """Bloch components of the zero-temperature evolved state for scalar or
+    array phases: the coherence is shrunk by cos(phi) and rotated by omega_t,
+    the population relaxes as rz cos^2(phi) - sin^2(phi)."""
+    c = np.cos(phi)
+    cw, sw = np.cos(omega_t), np.sin(omega_t)
+    return (
+        (r.rx * cw - r.ry * sw) * c,
+        (r.rx * sw + r.ry * cw) * c,
+        r.rz * c * c - np.sin(phi) ** 2,
+    )
 
 
 def jcm_bloch(r: BlochVector, phi: float, omega_t: float = 0.0) -> BlochVector:
-    """Bloch vector of the zero-temperature evolved state: the coherence is
-    shrunk by cos(phi) and rotated by omega_t, the population relaxes as
-    rz cos^2(phi) - sin^2(phi)."""
-    c = math.cos(phi)
-    cw, sw = math.cos(omega_t), math.sin(omega_t)
-    return BlochVector(
-        (r.rx * cw - r.ry * sw) * c,
-        (r.rx * sw + r.ry * cw) * c,
-        r.rz * c * c - math.sin(phi) ** 2,
-    )
+    """:func:`jcm_bloch_components` at one phase, as a Bloch vector."""
+    return BlochVector(*(float(a) for a in jcm_bloch_components(r, phi, omega_t)))
 
 
-def jcm_trace_distance(r: BlochVector, phi_cos2: float) -> float:
-    """Trace distance from the zero-temperature evolved state to diag(0, 1)."""
-    if not 0.0 <= phi_cos2 <= 1.0:
-        raise ValueError(f"phi_cos2 must lie in [0, 1], got {phi_cos2}")
-    return math.sqrt(
-        (0.5 * (1.0 + r.rz)) ** 2 * phi_cos2**2
-        + 0.25 * (r.rx**2 + r.ry**2) * phi_cos2
-    )
+def jcm_trace_distance(r: BlochVector, phi_cos2):
+    """Trace distance from the zero-temperature evolved state to diag(0, 1).
+
+    ``phi_cos2`` is a scalar (float result) or an array (array result).  The
+    qubit-pair model at zero bath temperature obeys the same law in mu_cos2.
+    """
+    c = check_cos2(phi_cos2, "phi_cos2")
+    d = np.sqrt((0.5 * (1.0 + r.rz)) ** 2 * c**2 + 0.25 * (r.rx**2 + r.ry**2) * c)
+    return float(d) if d.ndim == 0 else d
 
 
-def tls_energy(rho: np.ndarray) -> float:
-    """Qubit energy in units of hbar*omega: (rho_ee - rho_gg)/2, in [-1/2, 1/2]."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (2, 2):
-        raise DimensionError(f"expected a 2x2 state, got {rho.shape}")
-    return float(0.5 * (rho[0, 0] - rho[1, 1]).real)
+def tls_energy(rho_ee):
+    """Qubit energy in units of hbar*omega, (rho_ee - rho_gg)/2 in [-1/2, 1/2],
+    of a unit-trace state given by its excited population (scalar or array)."""
+    return 0.5 * (rho_ee - (1.0 - rho_ee))
 
 
 def crossing_cos_phi(r: BlochVector) -> float | None:

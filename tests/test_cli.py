@@ -189,16 +189,26 @@ class TestVerifyCommand:
             cli.main(["verify", "--tol-overrides", "nope=1e-3", "--out", str(tmp_path / "r.json")])
 
 
-class TestWorkerCount:
-    def test_env_cap(self, monkeypatch):
-        monkeypatch.setenv("MPEMBA_QSIM_THREADS", "2")
-        assert cli.worker_count() == 2
+class TestWriteCsv:
+    SPECIAL = [-0.0, 5e-324, 1e300, 0.1, 0.0, 1.0, -3.0, 42.0, 2.0**53, 1e16]
 
-    def test_default_positive(self, monkeypatch):
-        monkeypatch.delenv("MPEMBA_QSIM_THREADS", raising=False)
-        assert cli.worker_count() >= 1
+    @staticmethod
+    def reference(header, columns):
+        lines = [",".join(header)]
+        for i in range(len(columns[0])):
+            lines.append(",".join(f"{float(col[i]):.17g}" for col in columns))
+        return ("\n".join(lines) + "\n").encode()
 
-    def test_garbage_rejected(self, monkeypatch):
-        monkeypatch.setenv("MPEMBA_QSIM_THREADS", "lots")
-        with pytest.raises(SystemExit):
-            cli.worker_count()
+    @pytest.mark.parametrize("ncols", [2, 41])
+    @pytest.mark.parametrize("offset", ["one", -1, 0, 1])
+    def test_byte_identical_to_per_row_writer(self, tmp_path, ncols, offset):
+        chunk = cli.CSV_CHUNK_CELLS // ncols
+        rows = 1 if offset == "one" else chunk + offset
+        rng = np.random.default_rng(rows * ncols)
+        values = rng.normal(scale=10.0, size=rows * ncols) ** 3
+        values[: len(self.SPECIAL)] = self.SPECIAL[: rows * ncols]
+        columns = list(values.reshape(ncols, rows))
+        header = ["tau"] + [f"c{i}" for i in range(1, ncols)]
+        out = tmp_path / "t.csv"
+        cli._write_csv(out, header, columns)
+        assert out.read_bytes() == self.reference(header, columns)

@@ -129,6 +129,32 @@ class TestDetectCrossings:
         assert len(report.pairs) == 3
 
 
+    def test_scan_equals_per_cell_loop(self, rng):
+        # reference: the per-cell loop the array scan replaced
+        def loop(times, delta, tol):
+            idx = np.flatnonzero(np.abs(delta) > tol)
+            found = []
+            min_gap = float(np.min(np.diff(times)))
+            for prev, nxt in zip(idx[:-1], idx[1:]):
+                if delta[prev] * delta[nxt] < 0.0:
+                    t = times[prev] + (times[nxt] - times[prev]) * delta[prev] / (
+                        delta[prev] - delta[nxt]
+                    )
+                    if found and t - found[-1] <= min_gap:
+                        continue
+                    found.append(float(t))
+            return found
+
+        times = np.linspace(0.0, 5.0, 400)
+        for scale in (1e-9, 1e-3, 1.0):
+            # sign flips in adjacent cells exercise the min_gap collapse
+            delta = rng.normal(scale=scale, size=times.size)
+            delta[rng.uniform(size=times.size) < 0.2] = 0.0
+            assert crossings._crossings_of_difference(times, delta, 1e-9) == loop(
+                times, delta, 1e-9
+            )
+
+
 class TestOscillatorPairs:
     def test_coherent_vs_fock_single_crossing(self):
         # number state starts farther (1 vs sqrt(1 - e^-1)) and relaxes faster

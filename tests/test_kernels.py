@@ -1,0 +1,177 @@
+"""Array kernels against the per-point matrix path, by property.
+
+Every distance kernel takes an array of cos^2 (or of phases) and must agree,
+point by point, with evolving the state matrix and measuring it through
+:mod:`mpemba_qsim.metrics`, within TOL.  Two known errors of that reference
+widen the trace comparison by exactly their measured size: it clamps
+eigenvalues below EIGENVALUE_CLIP to 0, and its log-gamma binomial
+populations carry rounding of order eps * ln C(n, k) (about 1e-14 at n = 170).
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from mpemba_qsim import metrics, oscillator, tls
+from mpemba_qsim.oscillator import Coherent, Fock, Thermal
+from mpemba_qsim.states import BathThermal, BlochVector, ZERO_TEMPERATURE
+
+TOL = 1e-15
+SETTINGS = settings(max_examples=30, deadline=None, derandomize=True)
+
+# cos^2 grids always hold the endpoints 0 and 1 exactly
+cos2_grids = st.lists(st.floats(0.0, 1.0), max_size=6).map(
+    lambda values: np.array([0.0, 1.0, *values])
+)
+
+
+@st.composite
+def bloch_vectors(draw):
+    rx, ry, rz = (draw(st.floats(-1.0, 1.0)) for _ in range(3))
+    norm = math.sqrt(rx * rx + ry * ry + rz * rz)
+    scale = draw(st.floats(0.0, 1.0)) / norm if norm > 1.0 else 1.0
+    return BlochVector(rx * scale, ry * scale, rz * scale)
+
+
+def matrix_distances(rho: np.ndarray, ground: np.ndarray) -> tuple[float, float, float]:
+    """Trace and HS distance through metrics, and the trace mass the clip drops."""
+    w = np.linalg.eigvalsh(rho - ground)
+    dropped = 0.5 * float(np.sum(np.abs(w[np.abs(w) < metrics.EIGENVALUE_CLIP])))
+    return metrics.trace_distance(rho, ground), metrics.hs_distance(rho, ground), dropped
+
+
+def fock_population_error(n: int, cos2: float) -> float:
+    """Trace-norm error of the matrix path's binomial populations."""
+    exact = [math.comb(n, k) * cos2**k * (1.0 - cos2) ** (n - k) for k in range(n + 1)]
+    return 0.5 * float(np.sum(np.abs(oscillator.binomial_populations(n, cos2, n + 1) - exact)))
+
+
+def check_oscillator(state, cos2: np.ndarray, dim: int) -> None:
+    trace = oscillator.trace_distance_closed(state, cos2)
+    hs = oscillator.hs_distance_closed(state, cos2)
+    assert trace.shape == hs.shape == cos2.shape
+    ground = oscillator.ground_state(dim)
+    for c, got_trace, got_hs in zip(cos2.tolist(), trace, hs):
+        rho = oscillator.evolve_closed_form(state, c, dim=dim)
+        ref_trace, ref_hs, dropped = matrix_distances(rho, ground)
+        if isinstance(state, Fock):
+            dropped += fock_population_error(state.n, c)
+        assert abs(got_trace - ref_trace) <= TOL + dropped, (state, c)
+        assert abs(got_hs - ref_hs) <= TOL, (state, c)
+
+
+def check_qubit(value: float, rho: np.ndarray, target: np.ndarray) -> None:
+    ref, _, dropped = matrix_distances(rho, target)
+    assert abs(value - ref) <= TOL + dropped
+
+
+@SETTINGS
+@given(nbar=st.floats(0.0, 3.0), cos2=cos2_grids)
+def test_thermal_matches_matrix_path(nbar, cos2):
+    # 150 levels leave a tail below 0.75^150 ~ 1e-19 of the untruncated state
+    check_oscillator(Thermal(nbar), cos2, 150)
+
+
+@SETTINGS
+@given(
+    alpha=st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
+    cos2=cos2_grids,
+)
+def test_coherent_matches_matrix_path(alpha, cos2):
+    check_oscillator(Coherent(alpha), cos2, 40)
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 20, 170])
+@SETTINGS
+@given(cos2=cos2_grids)
+def test_fock_matches_matrix_path(n, cos2):
+    check_oscillator(Fock(n), cos2, n + 2)
+
+
+def test_fock_hs_endpoints_are_exact():
+    cos2 = np.array([0.0, 1.0])
+    for n in (1, 3, 20, 170):
+        assert oscillator.hs_distance_closed(Fock(n), cos2).tolist() == [0.0, math.sqrt(2.0)]
+    assert oscillator.hs_distance_closed(Fock(0), cos2).tolist() == [0.0, 0.0]
+
+
+def test_scalar_input_gives_float():
+    for law in (oscillator.trace_distance_closed, oscillator.hs_distance_closed):
+        for state in (Thermal(1.0), Coherent(0.5), Fock(3)):
+            assert type(law(state, 0.25)) is float
+    assert type(tls.jcm_trace_distance(BlochVector(0.1, 0.2, 0.3), 0.25)) is float
+
+
+@SETTINGS
+@given(r=bloch_vectors(), beta=st.sampled_from([0.1, 1.0]), cos2=cos2_grids)
+def test_jcm_series_matches_matrix_path(r, beta, cos2):
+    bath = BathThermal(beta)
+    phi = np.arccos(np.sqrt(cos2))
+    rho_ee, rho_eg = tls.jcm_thermal_series(r, bath, phi)
+    got = metrics.traceless_qubit_distance(rho_ee, rho_eg)
+    for p, value in zip(phi, got):
+        check_qubit(value, tls.jcm_thermal_components(r, bath, float(p)), tls.ground_state())
+
+
+@SETTINGS
+@given(r=bloch_vectors(), cos2=cos2_grids)
+def test_jcm_zero_temperature_law_matches_matrix_path(r, cos2):
+    got = tls.jcm_trace_distance(r, cos2)
+    for c, value in zip(cos2, got):
+        rho = tls.jcm_thermal_components(r, ZERO_TEMPERATURE, math.acos(math.sqrt(c)))
+        check_qubit(value, rho, tls.ground_state())
+
+
+@SETTINGS
+@given(r=bloch_vectors(), beta=st.sampled_from([math.inf, 0.1, 1.0]), cos2=cos2_grids)
+def test_pair_components_match_matrix_path(r, beta, cos2):
+    bath = BathThermal(beta)
+    rho_ee, _, rho_eg = tls.tls_pair_components(r, bath, cos2)
+    got = metrics.traceless_qubit_distance(rho_ee - bath.p_excited, rho_eg)
+    if bath.is_zero_temperature:
+        assert np.max(np.abs(got - tls.jcm_trace_distance(r, cos2))) <= TOL
+    target = np.diag([bath.p_excited, bath.p_ground]).astype(complex)
+    for c, value in zip(cos2, got):
+        check_qubit(value, tls.tls_pair_evolve(r, bath, float(c)), target)
+
+
+def test_series_blocks_match_single_phase_sums():
+    # 1000 phases span several SERIES_CHUNK_CELLS blocks at 324 levels
+    r = BlochVector(0.3, -0.4, 0.5)
+    bath = BathThermal(0.1)
+    phi = np.linspace(0.0, 0.5 * math.pi, 1000)
+    rho_ee, rho_eg = tls.jcm_thermal_series(r, bath, phi)
+    single = [tls.jcm_thermal_series(r, bath, float(p)) for p in phi]
+    assert np.array_equal(rho_ee, [s[0] for s in single])
+    assert np.array_equal(rho_eg, [s[1] for s in single])
+
+
+ARRAY_LAWS = [
+    lambda c: oscillator.trace_distance_closed(Thermal(1.0), c),
+    lambda c: oscillator.trace_distance_closed(Coherent(1.0), c),
+    lambda c: oscillator.trace_distance_closed(Fock(3), c),
+    lambda c: oscillator.hs_distance_closed(Thermal(1.0), c),
+    lambda c: oscillator.hs_distance_closed(Coherent(1.0), c),
+    lambda c: oscillator.hs_distance_closed(Fock(3), c),
+    lambda c: tls.jcm_trace_distance(BlochVector(0.5, 0.5, 0.5), c),
+    lambda c: tls.tls_pair_components(BlochVector(0.5, 0.5, 0.5), BathThermal(1.0), c),
+]
+
+
+@pytest.mark.parametrize("law", ARRAY_LAWS)
+@SETTINGS
+@given(
+    cos2=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
+    bad=st.one_of(
+        st.just(math.nan),
+        st.floats(max_value=0.0, exclude_max=True, allow_nan=False),
+        st.floats(min_value=1.0, exclude_min=True, allow_nan=False),
+    ),
+    at=st.integers(0, 8),
+)
+def test_bad_cos2_in_an_array_is_rejected(law, cos2, bad, at):
+    cos2.insert(at % (len(cos2) + 1), bad)
+    with pytest.raises(ValueError):
+        law(np.array(cos2))
