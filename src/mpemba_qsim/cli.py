@@ -61,6 +61,16 @@ def _parse_beta(token: str) -> float:
     return beta
 
 
+def _parse_dim(token: str) -> int:
+    try:
+        dim = int(token)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad dim {token!r} (expected an integer)")
+    if dim < 2:
+        raise argparse.ArgumentTypeError(f"Fock truncation needs dim >= 2, got {dim}")
+    return dim
+
+
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
     rows = max(1, CSV_CHUNK_CELLS // len(columns))
     row_format = ",".join(["%.17g"] * len(columns)) + "\n"
@@ -298,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tls.set_defaults(func=cmd_tls)
 
     p_ver = sub.add_parser("verify", help="run the closed-form-vs-oracle verification suites")
-    p_ver.add_argument("--dim", type=int, default=40)
+    p_ver.add_argument("--dim", type=_parse_dim, default=40)
     p_ver.add_argument("--seed", type=int, default=2024)
     p_ver.add_argument("--tol-overrides", default="", help="comma-separated suite=tol pairs")
     p_ver.add_argument("--out", default=None, help="write the JSON report here instead of stdout")

@@ -16,6 +16,14 @@ invariant blocks) and is checked against :func:`oscillator_propagator` in the
 test suite; it just removes the dense-matrix cost so the system space can be
 padded past the requested output dimension until the initial tail is
 negligible.
+
+The Jaynes-Cummings oracle uses the same idea at its smallest: the coupling
+b sigma+ + b+ sigma- conserves excitation number, so the truncated operator
+splits into the 2x2 blocks {|e, n>, |g, n+1>} (n = 0 .. dim-2) plus the two
+uncoupled states |g, 0> and |e, dim-1>.  All blocks are diagonalized
+numerically in one batched call; each initial basis state |c, k> then
+evolves into at most two amplitudes, on mode levels k-1, k and k+1, so the
+reduced state costs O(dim) and no 2dim x 2dim matrix is ever formed.
 """
 
 from __future__ import annotations
@@ -240,6 +248,13 @@ def oscillator_propagator(
     return linalg.propagator(gen)
 
 
+# Composite qubit x qubit generators: free sigma_z sum and the exchange coupling.
+_PAIR_FREE = linalg.tensor(linalg.PAULI_Z, np.eye(2)) + linalg.tensor(np.eye(2), linalg.PAULI_Z)
+_PAIR_EXCHANGE = linalg.tensor(linalg.SIGMA_MINUS, linalg.SIGMA_PLUS) + linalg.tensor(
+    linalg.SIGMA_PLUS, linalg.SIGMA_MINUS
+)
+
+
 def tls_pair_oracle(
     r: BlochVector, bath: BathThermal, mu: float, omega_t: float = 0.0
 ) -> np.ndarray:
@@ -248,14 +263,49 @@ def tls_pair_oracle(
         bloch_density_matrix(r),
         np.diag([bath.p_excited, bath.p_ground]).astype(complex),
     )
-    sz = linalg.PAULI_Z
-    eye = np.eye(2, dtype=complex)
-    gen = 0.5 * omega_t * (linalg.tensor(sz, eye) + linalg.tensor(eye, sz)) + mu * (
-        linalg.tensor(linalg.SIGMA_MINUS, linalg.SIGMA_PLUS)
-        + linalg.tensor(linalg.SIGMA_PLUS, linalg.SIGMA_MINUS)
-    )
-    u = linalg.propagator(gen)
+    u = linalg.propagator(0.5 * omega_t * _PAIR_FREE + mu * _PAIR_EXCHANGE)
     return linalg.partial_trace_b(u @ rho0 @ u.conj().T, 2, 2)
+
+
+def _jcm_sector_propagators(phi: float, dim: int) -> np.ndarray:
+    """exp(-i phi H_s) for every excitation sector s = 0 .. dim of the truncated JCM.
+
+    Entry s acts on {|e, s-1>, |g, s>}: sectors 1 .. dim-1 are the coupled
+    blocks [[0, phi sqrt(s)], [phi sqrt(s), 0]], diagonalized numerically;
+    sector 0 holds only |g, 0> and sector dim only |e, dim-1>, each with
+    propagator 1 (the slot of the missing state is left 0).
+    """
+    coupling = phi * np.sqrt(np.arange(1.0, dim))
+    h = np.zeros((dim - 1, 2, 2))
+    h[:, 0, 1] = h[:, 1, 0] = coupling
+    w, v = np.linalg.eigh(h)
+    out = np.zeros((dim + 1, 2, 2), dtype=complex)
+    out[1:dim] = np.einsum("sij,sj,skj->sik", v, np.exp(-1j * w), v)
+    out[0, 1, 1] = out[dim, 0, 0] = 1.0
+    return out
+
+
+def _jcm_evolve(
+    rho_q: np.ndarray, mode_pops: np.ndarray, phi: float, omega_t: float
+) -> np.ndarray:
+    """Reduced qubit state of U (rho_q x diag(mode_pops)) U+ over len(mode_pops) levels."""
+    dim = len(mode_pops)
+    sectors = _jcm_sector_propagators(phi, dim)
+    # cols[k, c, a, j] = <a, k-1+j| U |c, k>: |e, k> lives in sector k+1 and
+    # |g, k> in sector k, whose |e> slot sits one mode level below its |g> slot.
+    cols = np.zeros((dim, 2, 2, 3), dtype=complex)
+    cols[:, 0, 0, 1] = sectors[1:, 0, 0]
+    cols[:, 0, 1, 2] = sectors[1:, 1, 0]
+    cols[:, 1, 0, 0] = sectors[:-1, 0, 1]
+    cols[:, 1, 1, 1] = sectors[:-1, 1, 1]
+    levels = np.arange(dim)[:, None] + np.arange(-1, 2)  # mode level k-1+j
+    free_qubit = np.exp(-0.5j * omega_t * np.array([1.0, -1.0]))
+    free_mode = np.exp(-1j * omega_t * levels)
+    cols *= free_qubit[None, None, :, None] * free_mode[:, None, None, :]
+    # trace out the mode against diag(mode_pops): g[(c, a), (d, b)], then rho_q
+    m = cols.transpose(1, 2, 0, 3).reshape(4, 3 * dim)
+    g = (m * np.repeat(mode_pops, 3)) @ m.conj().T
+    return np.einsum("cd,cadb->ab", rho_q, g.reshape(2, 2, 2, 2))
 
 
 def jcm_oracle(
@@ -267,8 +317,10 @@ def jcm_oracle(
 ) -> np.ndarray:
     """Evolve qubit x boson mode in the truncated Fock basis and reduce.
 
-    Interaction propagator exp(-i phi (b sigma+ + b+ sigma-)) from the dense
-    eigendecomposition, then the free rotation, then the partial trace.
+    Interaction propagator exp(-i phi (b sigma+ + b+ sigma-)) from the
+    numerically diagonalized excitation sectors, then the free rotation
+    exp(-i omega_t (sigma_z / 2 + b+ b)), then the partial trace over the mode.
+    Qubit index 0 is |e>, 1 is |g>.
     """
     if dim < 2:
         raise DimensionError(f"Fock truncation needs dim >= 2, got {dim}")
@@ -285,15 +337,4 @@ def jcm_oracle(
                 f"bath thermal tail {tail:.3e} above {BATH_TAIL_TOL:g} at dim={dim}"
             )
         bath_pops = _geometric_weights(nbar, dim)
-
-    rho0 = linalg.tensor(bloch_density_matrix(r), np.diag(bath_pops).astype(complex))
-    b = linalg.ladder_lowering(dim)
-    coupling = linalg.tensor(linalg.SIGMA_PLUS, b) + linalg.tensor(
-        linalg.SIGMA_MINUS, b.conj().T
-    )
-    u_int = linalg.propagator(phi * coupling)
-    free_qubit = np.exp(-0.5j * omega_t * np.array([1.0, -1.0]))
-    free_mode = np.exp(-1j * omega_t * np.arange(dim))
-    u0 = np.diag(np.kron(free_qubit, free_mode))
-    u = u0 @ u_int
-    return linalg.partial_trace_b(u @ rho0 @ u.conj().T, 2, dim)
+    return _jcm_evolve(bloch_density_matrix(r), bath_pops, phi, omega_t)

@@ -12,8 +12,8 @@ import warnings
 import numpy as np
 
 from . import linalg, metrics, oracle, oscillator, tls
-from .crossings import detect_crossings, sample_series
-from .errors import TruncationError
+from .crossings import DistanceSeries, detect_crossings
+from .errors import DimensionError, TruncationError
 from .schedules import CavityMode, Ramp, time_grid
 from .states import BathThermal, BlochVector, ZERO_TEMPERATURE
 
@@ -55,7 +55,7 @@ def _run_cases(name, tol, case_fn, cases):
                 if dev > max_dev or worst is None:
                     max_dev = dev
                     worst = case
-        except TruncationError as exc:
+        except (DimensionError, TruncationError) as exc:  # dim too small for a case
             notes.append(f"truncation: {exc}")
             max_dev = math.inf
             worst = case
@@ -277,10 +277,8 @@ def suite_crossing_analytics(dim, seed, tol):
         else:
             return abs(tls.crossing_tau_cavity(1.0) - 0.5694142151441509)
         grid = time_grid(sched, 1001)
-        series = [
-            sample_series(lambda t, r=r: tls.jcm_trace_distance(r, float(sched.cos2(t))), grid, str(r))
-            for r in (r_i, r_ii)
-        ]
+        cos2 = sched.cos2(grid)
+        series = [DistanceSeries(str(r), grid, tls.jcm_trace_distance(r, cos2)) for r in (r_i, r_ii)]
         report = detect_crossings(series[0], series[1])
         times = report.pairs[0].crossing_times
         if len(times) != 1:

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from mpemba_qsim.states import BlochVector
 
@@ -24,3 +27,11 @@ def random_bloch(rng):
     d = rng.normal(size=3)
     d /= np.linalg.norm(d)
     return BlochVector(*(d * rng.uniform() ** (1.0 / 3.0)))
+
+
+@st.composite
+def bloch_vectors(draw):
+    rx, ry, rz = (draw(st.floats(-1.0, 1.0)) for _ in range(3))
+    norm = math.sqrt(rx * rx + ry * ry + rz * rz)
+    scale = draw(st.floats(0.0, 1.0)) / norm if norm > 1.0 else 1.0
+    return BlochVector(rx * scale, ry * scale, rz * scale)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from mpemba_qsim import cli
+from mpemba_qsim import cli, verify
 
 
 def read_csv(path):
@@ -176,6 +176,33 @@ class TestVerifyCommand:
         assert not coh["passed"]
         assert any("tail" in w or "truncation" in w for w in coh["warnings"])
         assert "FAILED" in capsys.readouterr().err
+
+    def test_benchmarked_dim_passes(self, tmp_path):
+        rc = cli.main(["verify", "--dim", "120", "--out", str(tmp_path / "r.json")])
+        assert rc == 0
+        report = json.loads((tmp_path / "r.json").read_text())
+        assert report["all_passed"] is True
+        assert [s["name"] for s in report["suites"]] == list(verify.DEFAULT_TOLERANCES)
+        assert len(report["suites"]) == 12
+
+    @pytest.mark.parametrize("dim", ["0", "1"])
+    def test_dim_below_two_is_usage_error(self, tmp_path, capsys, dim):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--dim", dim, "--out", str(tmp_path / "r.json")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"needs dim >= 2, got {dim}" in err and "Traceback" not in err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_dim_too_small_for_fock_cases_fails_suites(self, tmp_path, capsys):
+        # Fock(5) cannot fit in 3 levels: reported as failed suites, exit 1
+        rc = cli.main(["verify", "--dim", "3", "--out", str(tmp_path / "r.json")])
+        assert rc == 1
+        report = json.loads((tmp_path / "r.json").read_text())
+        number = next(s for s in report["suites"] if s["name"] == "oscillator_number")
+        assert not number["passed"]
+        assert any("needs dim > 5" in w for w in number["warnings"])
+        assert "FAILED oscillator_number" in capsys.readouterr().err
 
     def test_tolerance_overrides(self, tmp_path):
         rc = cli.main(

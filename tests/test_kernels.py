@@ -18,6 +18,8 @@ from mpemba_qsim import metrics, oscillator, tls
 from mpemba_qsim.oscillator import Coherent, Fock, Thermal
 from mpemba_qsim.states import BathThermal, BlochVector, ZERO_TEMPERATURE
 
+from conftest import bloch_vectors
+
 TOL = 1e-15
 SETTINGS = settings(max_examples=30, deadline=None, derandomize=True)
 
@@ -25,14 +27,6 @@ SETTINGS = settings(max_examples=30, deadline=None, derandomize=True)
 cos2_grids = st.lists(st.floats(0.0, 1.0), max_size=6).map(
     lambda values: np.array([0.0, 1.0, *values])
 )
-
-
-@st.composite
-def bloch_vectors(draw):
-    rx, ry, rz = (draw(st.floats(-1.0, 1.0)) for _ in range(3))
-    norm = math.sqrt(rx * rx + ry * ry + rz * rz)
-    scale = draw(st.floats(0.0, 1.0)) / norm if norm > 1.0 else 1.0
-    return BlochVector(rx * scale, ry * scale, rz * scale)
 
 
 def matrix_distances(rho: np.ndarray, ground: np.ndarray) -> tuple[float, float, float]:

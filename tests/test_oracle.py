@@ -3,15 +3,17 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mpemba_qsim import linalg, oracle, oscillator, tls
-from mpemba_qsim.errors import DimensionError, TruncationError, TruncationWarning
+from mpemba_qsim.errors import DimensionError, StateError, TruncationError, TruncationWarning
 from mpemba_qsim.oscillator import Coherent, Fock, Thermal
-from mpemba_qsim.states import BathThermal, BlochVector, ZERO_TEMPERATURE
+from mpemba_qsim.states import BathThermal, BlochVector, ZERO_TEMPERATURE, bloch_density_matrix
 
-from conftest import random_bloch
+from conftest import bloch_vectors, random_bloch
 
 EXCITED = BlochVector(0.0, 0.0, 1.0)
+SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 
 
 def kappa_of(cos2):
@@ -147,8 +149,102 @@ class TestTlsPairOracle:
                 expected = tls.tls_pair_evolve(r, bath, math.cos(mu) ** 2, wt)
                 assert np.max(np.abs(got - expected)) <= 1e-12
 
+    def test_constant_generators_are_bit_identical(self, rng):
+        for beta in (math.inf, 1.0):
+            bath = BathThermal(beta)
+            for _ in range(10):
+                r = random_bloch(rng)
+                mu, wt = float(rng.uniform(0.0, 3.0)), float(rng.uniform(0.0, 5.0))
+                got = oracle.tls_pair_oracle(r, bath, mu, wt)
+                assert np.array_equal(got, dense_tls_pair_oracle(r, bath, mu, wt))
+
+
+def dense_tls_pair_oracle(r, bath, mu, omega_t):
+    """The pair oracle with its generators rebuilt by Kronecker products on every call."""
+    rho0 = linalg.tensor(
+        bloch_density_matrix(r), np.diag([bath.p_excited, bath.p_ground]).astype(complex)
+    )
+    sz = linalg.PAULI_Z
+    eye = np.eye(2, dtype=complex)
+    gen = 0.5 * omega_t * (linalg.tensor(sz, eye) + linalg.tensor(eye, sz)) + mu * (
+        linalg.tensor(linalg.SIGMA_MINUS, linalg.SIGMA_PLUS)
+        + linalg.tensor(linalg.SIGMA_PLUS, linalg.SIGMA_MINUS)
+    )
+    u = linalg.propagator(gen)
+    return linalg.partial_trace_b(u @ rho0 @ u.conj().T, 2, 2)
+
+
+def dense_jcm_reference(r, mode_pops, phi, omega_t):
+    """Qubit x mode evolved with the dense 2dim x 2dim propagator, then reduced."""
+    dim = len(mode_pops)
+    rho0 = linalg.tensor(bloch_density_matrix(r), np.diag(mode_pops).astype(complex))
+    b = linalg.ladder_lowering(dim)
+    coupling = linalg.tensor(linalg.SIGMA_PLUS, b) + linalg.tensor(
+        linalg.SIGMA_MINUS, b.conj().T
+    )
+    u_int = linalg.propagator(phi * coupling)
+    free_qubit = np.exp(-0.5j * omega_t * np.array([1.0, -1.0]))
+    free_mode = np.exp(-1j * omega_t * np.arange(dim))
+    u = np.diag(np.kron(free_qubit, free_mode)) @ u_int
+    return linalg.partial_trace_b(u @ rho0 @ u.conj().T, 2, dim)
+
 
 class TestJcmOracle:
+    # phases past pi/2 move weight through the uncoupled edge states
+    # |g, 0> and |e, dim-1> as well as every 2x2 block
+    PHIS = (0.0, 0.4, 1.3, 2.2, 3.9)
+
+    @pytest.mark.parametrize("dim", [2, 3, 5, 12])
+    @pytest.mark.parametrize("beta", [math.inf, 1.0])
+    def test_sectors_match_dense_route(self, rng, dim, beta):
+        # small dims leave a large thermal tail, so both routes get the same
+        # renormalized truncated Boltzmann populations directly
+        bath = BathThermal(beta)
+        if bath.is_zero_temperature:
+            pops = np.eye(dim)[0]
+        else:
+            pops = oracle._geometric_weights(bath.nbar, dim)
+        for phi in self.PHIS:
+            r = random_bloch(rng)
+            wt = float(rng.uniform(0.5, 5.0))
+            dense = dense_jcm_reference(r, pops, phi, wt)
+            got = oracle._jcm_evolve(bloch_density_matrix(r), pops, phi, wt)
+            assert np.max(np.abs(got - dense)) <= 1e-12
+            if bath.is_zero_temperature:
+                public = oracle.jcm_oracle(r, bath, phi, wt, dim=dim)
+                assert np.max(np.abs(public - dense)) <= 1e-12
+
+    @pytest.mark.parametrize("dim", [40, 120])
+    def test_matches_dense_route_thermal(self, rng, dim):
+        bath = BathThermal(1.0)
+        pops = oracle._geometric_weights(bath.nbar, dim)
+        for phi in (0.3, 1.5, 2.7):
+            r = random_bloch(rng)
+            dense = dense_jcm_reference(r, pops, phi, 0.7)
+            got = oracle.jcm_oracle(r, bath, phi, 0.7, dim=dim)
+            assert np.max(np.abs(got - dense)) <= 1e-12
+
+    @SETTINGS
+    @given(
+        r=bloch_vectors(),
+        phi=st.floats(0.0, 2.0 * math.pi),
+        wt=st.floats(0.0, 10.0),
+        beta=st.one_of(st.just(math.inf), st.floats(0.7, 50.0)),
+    )
+    def test_outputs_are_valid_states_by_property(self, r, phi, wt, beta):
+        # beta >= 0.7 keeps the thermal tail below BATH_TAIL_TOL at dim 40
+        rho = oracle.jcm_oracle(r, BathThermal(beta), phi, wt, dim=40)
+        linalg.validate_density_matrix(rho)
+
+    def test_dim_below_two_rejected(self):
+        for dim in (0, 1):
+            with pytest.raises(DimensionError):
+                oracle.jcm_oracle(EXCITED, ZERO_TEMPERATURE, 0.5, dim=dim)
+
+    def test_infinite_temperature_rejected(self):
+        with pytest.raises(StateError):
+            oracle.jcm_oracle(EXCITED, BathThermal(0.0), 0.5, dim=10)
+
     def test_cold_bath_full_relaxation(self):
         rho = oracle.jcm_oracle(EXCITED, ZERO_TEMPERATURE, math.pi / 2, dim=20)
         assert np.max(np.abs(rho - tls.ground_state())) <= 1e-12
