@@ -8,6 +8,7 @@ repeated runs with the same flags are byte-identical.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -17,9 +18,9 @@ import numpy as np
 
 from . import __version__, metrics, oscillator, tls, verify
 from .crossings import DistanceSeries, pairwise_crossings
-from .errors import StateError
+from .errors import StateError, TruncationError
 from .schedules import CavityMode, ExpDecay, Ramp, SinExpDecay, time_grid
-from .states import BathThermal, BlochVector
+from .states import ZERO_TEMPERATURE, BathThermal, BlochVector
 
 _SCHEDULES = {"exp": ExpDecay, "sinexp": SinExpDecay, "ramp": Ramp, "cavity": CavityMode}
 # CSV rows are formatted in blocks of about this many cells.
@@ -49,16 +50,11 @@ def _parse_bloch(token: str) -> BlochVector:
         raise argparse.ArgumentTypeError(f"bad Bloch vector {token!r}: {exc}")
 
 
-def _parse_beta(token: str) -> float:
-    if token.strip().lower() == "inf":
-        return math.inf
+def _parse_beta(token: str) -> BathThermal:
     try:
-        beta = float(token)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad beta {token!r} (number or 'inf')")
-    if beta < 0:
-        raise argparse.ArgumentTypeError(f"beta must be >= 0, got {beta}")
-    return beta
+        return BathThermal(float(token))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad beta {token!r} (number or 'inf'): {exc}")
 
 
 def _parse_dim(token: str) -> int:
@@ -71,6 +67,20 @@ def _parse_dim(token: str) -> int:
     return dim
 
 
+def _parse_tol_overrides(token: str) -> dict[str, float]:
+    overrides = {}
+    for item in token.split(",") if token else []:
+        name, _, value = item.partition("=")
+        name = name.strip()
+        if name not in verify.DEFAULT_TOLERANCES:
+            raise argparse.ArgumentTypeError(f"unknown suite {name!r} in tolerance override {item!r}")
+        try:
+            overrides[name] = float(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"bad tolerance override {item!r} (expected suite=value)")
+    return overrides
+
+
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
     rows = max(1, CSV_CHUNK_CELLS // len(columns))
     row_format = ",".join(["%.17g"] * len(columns)) + "\n"
@@ -81,11 +91,22 @@ def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None
             fh.write((row_format * len(block)) % tuple(block.ravel().tolist()))
 
 
-def _crossing_json(report, labels_meta: dict) -> dict:
-    body = dict(labels_meta)
-    body["tool"] = "mpemba-qsim"
-    body["version"] = __version__
-    body["pairs"] = [
+def _write_json(path: Path, body: dict) -> None:
+    with open(path, "w", newline="\n") as fh:
+        fh.write(json.dumps(body, indent=2, sort_keys=True))
+        fh.write("\n")
+
+
+def _emit_curves(out: Path, tau, labels, columns, extra_header, extra_columns, meta: dict) -> None:
+    """Write the curve CSV, then the crossing report of every curve pair to ``<out>.json``.
+
+    ``extra_header``/``extra_columns`` follow the curves in the CSV but take no
+    part in the crossing report; ``meta`` is merged into the sidecar.
+    """
+    series = [DistanceSeries(lbl, tau, col) for lbl, col in zip(labels, columns)]
+    _write_csv(out, ["tau", *labels, *extra_header], [tau, *columns, *extra_columns])
+    report = pairwise_crossings(series)
+    pairs = [
         {
             "pair": [p.label_a, p.label_b],
             "crossings": p.crossing_times,
@@ -95,13 +116,7 @@ def _crossing_json(report, labels_meta: dict) -> dict:
         }
         for p in report.pairs
     ]
-    return body
-
-
-def _write_json(path: Path, body: dict) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(json.dumps(body, indent=2, sort_keys=True))
-        fh.write("\n")
+    _write_json(out.with_suffix(".json"), {**meta, "tool": "mpemba-qsim", "version": __version__, "pairs": pairs})
 
 
 def _state_label(state) -> str:
@@ -124,27 +139,14 @@ def cmd_oscillator(args) -> int:
         dist = oscillator.trace_distance_closed
     else:
         dist = oscillator.hs_distance_closed
-    columns = [dist(state, cos2) for state in args.states]
-
     labels = [_state_label(s) for s in args.states]
-    out = Path(args.out)
-    _write_csv(out, ["tau"] + labels, [tau] + columns)
-
-    series = [DistanceSeries(lbl, tau, col) for lbl, col in zip(labels, columns)]
-    report = pairwise_crossings(series)
-    _write_json(
-        out.with_suffix(".json"),
-        _crossing_json(
-            report,
-            {
-                "command": "oscillator",
-                "schedule": {"type": args.schedule, "gamma": args.gamma},
-                "grid": {"tmax": float(grid[-1]), "steps": args.steps, "tau_scale": args.gamma},
-                "metric": args.metric,
-                "states": labels,
-            },
-        ),
-    )
+    _emit_curves(Path(args.out), tau, labels, [dist(state, cos2) for state in args.states], [], [], {
+        "command": "oscillator",
+        "schedule": {"type": args.schedule, **dataclasses.asdict(schedule)},
+        "grid": {"tmax": float(grid[-1]), "steps": args.steps, "tau_scale": args.gamma},
+        "metric": args.metric,
+        "states": labels,
+    })
     return 0
 
 
@@ -175,48 +177,28 @@ def cmd_tls(args) -> int:
         schedule = _SCHEDULES[args.schedule](args.t0)
         tau_scale = 1.0 / args.t0
     if args.traj_out and args.model != "jcm":
-        raise SystemExit("--traj-out is only available for --model jcm")
+        raise ValueError("--traj-out is only available for --model jcm")
+    if not math.isfinite(args.omega_t0):
+        raise ValueError(f"--omega-t0 must be finite, got {args.omega_t0}")
 
     grid = time_grid(schedule, args.steps, args.tmax)
     tau = tau_scale * grid
     cos2 = schedule.cos2(grid)
     phase = schedule.phase(grid)
-    bath = BathThermal(args.beta)
 
-    columns, energies = zip(*(_tls_columns(args, bath, r, phase, cos2) for r in args.bloch))
+    columns, energies = zip(*(_tls_columns(args, args.beta, r, phase, cos2) for r in args.bloch))
 
     # semicolons keep the labels comma-free for naive CSV consumers
     labels = [f"bloch({r.rx:g};{r.ry:g};{r.rz:g})" for r in args.bloch]
-    header = ["tau"] + labels
-    out_columns = [tau, *columns]
-    if args.model == "jcm":
-        header += [f"{lbl}:energy" for lbl in labels]
-        out_columns += energies
-
-    out = Path(args.out)
-    _write_csv(out, header, out_columns)
-
-    series = [DistanceSeries(lbl, tau, col) for lbl, col in zip(labels, columns)]
-    report = pairwise_crossings(series)
-    schedule_meta = {"type": args.schedule}
-    if args.schedule in ("exp", "sinexp"):
-        schedule_meta["gamma"] = args.gamma
-    else:
-        schedule_meta["t0"] = args.t0
-    _write_json(
-        out.with_suffix(".json"),
-        _crossing_json(
-            report,
-            {
-                "command": "tls",
-                "model": args.model,
-                "schedule": schedule_meta,
-                "grid": {"tmax": float(grid[-1]), "steps": args.steps, "tau_scale": tau_scale},
-                "beta_hbar_omega": "inf" if math.isinf(args.beta) else args.beta,
-                "states": labels,
-            },
-        ),
-    )
+    energy_labels, energies = ([f"{lbl}:energy" for lbl in labels], energies) if args.model == "jcm" else ([], [])
+    _emit_curves(Path(args.out), tau, labels, columns, energy_labels, energies, {
+        "command": "tls",
+        "model": args.model,
+        "schedule": {"type": args.schedule, **dataclasses.asdict(schedule)},
+        "grid": {"tmax": float(grid[-1]), "steps": args.steps, "tau_scale": tau_scale},
+        "beta_hbar_omega": "inf" if args.beta.is_zero_temperature else args.beta.beta_hbar_omega,
+        "states": labels,
+    })
 
     if args.traj_out:
         # Bloch trajectories need a visible free rotation; omega is fixed by
@@ -231,17 +213,7 @@ def cmd_tls(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    overrides = {}
-    if args.tol_overrides:
-        for item in args.tol_overrides.split(","):
-            name, _, value = item.partition("=")
-            if not value:
-                raise SystemExit(f"bad tolerance override {item!r} (expected suite=value)")
-            overrides[name.strip()] = float(value)
-    try:
-        report = verify.run_all(dim=args.dim, seed=args.seed, tol_overrides=overrides)
-    except KeyError as exc:
-        raise SystemExit(str(exc))
+    report = verify.run_all(dim=args.dim, seed=args.seed, tol_overrides=args.tol_overrides)
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.out:
         Path(args.out).write_text(text, newline="\n")
@@ -299,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="rx,ry,rz (repeatable; default 0,0,1 and 0.5,0.5,0.5)",
     )
-    p_tls.add_argument("--beta", type=_parse_beta, default=math.inf, help="beta*hbar*omega; 'inf' = zero temperature")
+    p_tls.add_argument("--beta", type=_parse_beta, default=ZERO_TEMPERATURE, help="beta*hbar*omega; 'inf' = zero temperature")
     p_tls.add_argument("--tmax", type=float, default=None)
     p_tls.add_argument("--steps", type=int, default=1001)
     p_tls.add_argument("--out", required=True)
@@ -310,15 +282,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run the closed-form-vs-oracle verification suites")
     p_ver.add_argument("--dim", type=_parse_dim, default=40)
     p_ver.add_argument("--seed", type=int, default=2024)
-    p_ver.add_argument("--tol-overrides", default="", help="comma-separated suite=tol pairs")
+    p_ver.add_argument("--tol-overrides", type=_parse_tol_overrides, default="", help="comma-separated suite=tol pairs")
     p_ver.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
     p_ver.set_defaults(func=cmd_verify)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.func(args)
+    except (ValueError, TruncationError, OSError) as exc:
+        # the package rejects bad input with ValueError (and its subclasses)
+        parser.exit(2, f"{parser.prog} {args.command}: error: {exc}\n")
 
 
 if __name__ == "__main__":

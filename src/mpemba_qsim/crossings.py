@@ -36,8 +36,8 @@ class DistanceSeries:
             )
         if np.any(np.diff(self.times) <= 0):
             raise GridError("series times must be strictly ascending")
-        if np.any(self.values < 0):
-            raise GridError("distance values must be >= 0")
+        if not np.all((self.values >= 0) & (self.values < np.inf)):
+            raise GridError("distance values must be finite and >= 0")
 
 
 @dataclass

@@ -97,8 +97,6 @@ def _levels_for_geometric(mean: float, floor: int, tol: float, cap: int) -> int:
 
 def _levels_for_poisson(mean_sq: float, floor: int, tol: float, cap: int) -> int:
     """Smallest level count >= floor whose Poisson tail is <= tol (capped)."""
-    if mean_sq <= 0.0:
-        return floor
     term = math.exp(-mean_sq)
     total = term
     n = 0
@@ -157,10 +155,7 @@ def oscillator_oracle(
     cap = dim + PAD_CAP
     if isinstance(init_a, Thermal):
         sys_levels = _levels_for_geometric(init_a.nbar, dim, PAD_TAIL_TOL, cap)
-        sys_diag = _geometric_weights(init_a.nbar, sys_levels) if init_a.nbar > 0 else None
-        if sys_diag is None:
-            sys_diag = np.zeros(sys_levels)
-            sys_diag[0] = 1.0
+        sys_diag = _geometric_weights(init_a.nbar, sys_levels)
         sys_vec = None
     elif isinstance(init_a, Fock):
         if init_a.n >= dim:
@@ -324,17 +319,12 @@ def jcm_oracle(
     """
     if dim < 2:
         raise DimensionError(f"Fock truncation needs dim >= 2, got {dim}")
-    if bath.is_zero_temperature:
-        bath_pops = np.zeros(dim)
-        bath_pops[0] = 1.0
-    else:
-        nbar = bath.nbar
-        if not math.isfinite(nbar):
-            raise StateError("thermal boson bath needs beta*hbar*omega > 0")
-        tail = (nbar / (nbar + 1.0)) ** dim
-        if tail > BATH_TAIL_TOL:
-            raise TruncationError(
-                f"bath thermal tail {tail:.3e} above {BATH_TAIL_TOL:g} at dim={dim}"
-            )
-        bath_pops = _geometric_weights(nbar, dim)
-    return _jcm_evolve(bloch_density_matrix(r), bath_pops, phi, omega_t)
+    nbar = bath.nbar  # 0 at zero temperature: one-hot weights
+    if not math.isfinite(nbar):
+        raise StateError("thermal boson bath needs beta*hbar*omega > 0")
+    tail = (nbar / (nbar + 1.0)) ** dim
+    if tail > BATH_TAIL_TOL:
+        raise TruncationError(
+            f"bath thermal tail {tail:.3e} above {BATH_TAIL_TOL:g} at dim={dim}"
+        )
+    return _jcm_evolve(bloch_density_matrix(r), _geometric_weights(nbar, dim), phi, omega_t)

@@ -11,6 +11,7 @@ state |0><0| have matching closed forms.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -37,8 +38,8 @@ class Thermal:
     nbar: float
 
     def __post_init__(self) -> None:
-        if math.isnan(self.nbar) or self.nbar < 0:
-            raise StateError(f"mean occupation must be >= 0, got {self.nbar}")
+        if not 0 <= self.nbar < math.inf:
+            raise StateError(f"mean occupation must be finite and >= 0, got {self.nbar}")
 
 
 @dataclass(frozen=True)
@@ -46,6 +47,10 @@ class Coherent:
     """Coherent initial state |alpha>."""
 
     alpha: complex
+
+    def __post_init__(self) -> None:
+        if not cmath.isfinite(self.alpha):
+            raise StateError(f"coherent amplitude must be finite, got {self.alpha}")
 
 
 @dataclass(frozen=True)

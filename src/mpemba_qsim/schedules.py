@@ -11,6 +11,7 @@ specified through the phase itself.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
@@ -54,8 +55,8 @@ class ExpDecay:
     gamma: float
 
     def __post_init__(self) -> None:
-        if not self.gamma > 0:
-            raise ValueError(f"gamma must be > 0, got {self.gamma}")
+        if not 0 < self.gamma < math.inf:
+            raise ValueError(f"gamma must be finite and > 0, got {self.gamma}")
 
     def cos2(self, t):
         return np.exp(-self.gamma * _check_times(t))
@@ -71,8 +72,8 @@ class SinExpDecay:
     gamma: float
 
     def __post_init__(self) -> None:
-        if not self.gamma > 0:
-            raise ValueError(f"gamma must be > 0, got {self.gamma}")
+        if not 0 < self.gamma < math.inf:
+            raise ValueError(f"gamma must be finite and > 0, got {self.gamma}")
 
     def cos2(self, t):
         return np.sin(0.5 * np.pi * np.exp(-self.gamma * _check_times(t))) ** 2
@@ -88,8 +89,8 @@ class Ramp:
     t0: float
 
     def __post_init__(self) -> None:
-        if not self.t0 > 0:
-            raise ValueError(f"t0 must be > 0, got {self.t0}")
+        if not 0 < self.t0 < math.inf:
+            raise ValueError(f"t0 must be finite and > 0, got {self.t0}")
 
     def phase(self, t):
         t = _check_times(t)
@@ -110,8 +111,8 @@ class CavityMode:
     t0: float
 
     def __post_init__(self) -> None:
-        if not self.t0 > 0:
-            raise ValueError(f"t0 must be > 0, got {self.t0}")
+        if not 0 < self.t0 < math.inf:
+            raise ValueError(f"t0 must be finite and > 0, got {self.t0}")
 
     def phase(self, t):
         t = _check_times(t)
@@ -172,8 +173,8 @@ def time_grid(schedule: Schedule, steps: int = DEFAULT_GRID_STEPS, tmax: float |
         raise GridError(f"grid needs at least 2 points, got {steps}")
     if tmax is None:
         tmax = default_tmax(schedule)
-    if not tmax > 0:
-        raise GridError(f"tmax must be > 0, got {tmax}")
+    if not 0 < tmax < math.inf:
+        raise GridError(f"tmax must be finite and > 0, got {tmax}")
     return np.linspace(0.0, float(tmax), int(steps))
 
 

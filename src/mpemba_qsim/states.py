@@ -23,9 +23,9 @@ class BlochVector:
     rz: float
 
     def __post_init__(self) -> None:
-        if self.norm_sq() > 1.0 + BLOCH_NORM_TOL:
+        if not self.norm_sq() <= 1.0 + BLOCH_NORM_TOL:
             raise StateError(
-                f"Bloch vector ({self.rx}, {self.ry}, {self.rz}) has norm > 1"
+                f"Bloch vector ({self.rx}, {self.ry}, {self.rz}) has norm > 1 or is not finite"
             )
 
     def norm_sq(self) -> float:
@@ -101,14 +101,3 @@ def bloch_density_matrix(b: BlochVector) -> np.ndarray:
     eye = np.eye(2, dtype=complex)
     return 0.5 * (eye + b.rx * PAULI_X + b.ry * PAULI_Y + b.rz * PAULI_Z)
 
-
-def density_matrix_bloch(rho: np.ndarray) -> BlochVector:
-    """Inverse of :func:`bloch_density_matrix` for a valid 2x2 state."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (2, 2):
-        raise StateError(f"expected a 2x2 state, got shape {rho.shape}")
-    return BlochVector(
-        float(2.0 * rho[0, 1].real),
-        float(-2.0 * rho[0, 1].imag),
-        float((rho[0, 0] - rho[1, 1]).real),
-    )

@@ -74,40 +74,29 @@ def _run_cases(name, tol, case_fn, cases):
     }
 
 
-def suite_oscillator_thermal(dim, seed, tol):
-    def dev(nbar, tau):
+# Initial-state family and parameters of each oscillator closed-form-vs-oracle suite.
+_OSCILLATOR_FAMILIES = {
+    "oscillator_thermal": (oscillator.Thermal, (0.5, 1.0, 3.0)),
+    "oscillator_coherent": (oscillator.Coherent, (0.5, 1.0, 2.0)),
+    "oscillator_number": (oscillator.Fock, (1, 2, 5)),
+}
+
+
+def suite_oscillator_state(name, dim, seed, tol):
+    """Closed-form evolved oscillator states vs the oracle along the exp schedule."""
+    family, params = _OSCILLATOR_FAMILIES[name]
+
+    def dev(param, tau):
         cos2 = math.exp(-tau)
-        closed = oscillator.evolve_closed_form(oscillator.Thermal(nbar), cos2, 0.0, dim)
-        brute = oracle.oscillator_oracle(oscillator.Thermal(nbar), 0.0, 0.0, math.acos(math.sqrt(cos2)), dim)
+        closed = oscillator.evolve_closed_form(family(param), cos2, 0.0, dim)
+        brute = oracle.oscillator_oracle(family(param), 0.0, 0.0, math.acos(math.sqrt(cos2)), dim)
         return np.max(np.abs(closed - brute))
 
-    cases = [(nbar, tau) for nbar in (0.5, 1.0, 3.0) for tau in _TAUS_11]
-    return _run_cases("oscillator_thermal", tol, dev, cases)
+    cases = [(param, tau) for param in params for tau in _TAUS_11]
+    return _run_cases(name, tol, dev, cases)
 
 
-def suite_oscillator_coherent(dim, seed, tol):
-    def dev(alpha, tau):
-        cos2 = math.exp(-tau)
-        closed = oscillator.evolve_closed_form(oscillator.Coherent(alpha), cos2, 0.0, dim)
-        brute = oracle.oscillator_oracle(oscillator.Coherent(alpha), 0.0, 0.0, math.acos(math.sqrt(cos2)), dim)
-        return np.max(np.abs(closed - brute))
-
-    cases = [(alpha, tau) for alpha in (0.5, 1.0, 2.0) for tau in _TAUS_11]
-    return _run_cases("oscillator_coherent", tol, dev, cases)
-
-
-def suite_oscillator_number(dim, seed, tol):
-    def dev(n, tau):
-        cos2 = math.exp(-tau)
-        closed = oscillator.evolve_closed_form(oscillator.Fock(n), cos2, 0.0, dim)
-        brute = oracle.oscillator_oracle(oscillator.Fock(n), 0.0, 0.0, math.acos(math.sqrt(cos2)), dim)
-        return np.max(np.abs(closed - brute))
-
-    cases = [(n, tau) for n in (1, 2, 5) for tau in _TAUS_11]
-    return _run_cases("oscillator_number", tol, dev, cases)
-
-
-def suite_oscillator_distances(dim, seed, tol):
+def suite_oscillator_distances(name, dim, seed, tol):
     """Closed-form distances vs the eigenvalue route on the evolved matrices.
 
     The closed forms are exact for the untruncated state, so the thermal
@@ -127,10 +116,10 @@ def suite_oscillator_distances(dim, seed, tol):
 
     states = [oscillator.Thermal(3.0), oscillator.Coherent(1.0), oscillator.Fock(2)]
     cases = [(s, tau) for s in states for tau in _TAUS_11]
-    return _run_cases("oscillator_distances", tol, dev, cases)
+    return _run_cases(name, tol, dev, cases)
 
 
-def suite_tls_pair(dim, seed, tol):
+def suite_tls_pair(name, dim, seed, tol):
     rng = np.random.default_rng(seed)
     blochs = [_random_bloch(rng) for _ in range(10)]
     mus = np.linspace(0.0, 0.5 * math.pi, 10)
@@ -142,28 +131,22 @@ def suite_tls_pair(dim, seed, tol):
         return np.max(np.abs(closed - brute))
 
     cases = [(r, mu, beta) for beta in (math.inf, 1.0) for r in blochs for mu in mus]
-    return _run_cases("tls_pair", tol, dev, cases)
+    return _run_cases(name, tol, dev, cases)
 
 
-def suite_jcm_zero_temperature(dim, seed, tol):
-    rng = np.random.default_rng(seed + 1)
+# (rng seed offset, bath) of each qubit-boson closed-form-vs-oracle suite.
+_JCM_BATHS = {
+    "jcm_zero_temperature": (1, ZERO_TEMPERATURE),
+    "jcm_thermal_series": (2, BathThermal(1.0)),
+}
+
+
+def suite_jcm_oracle(name, dim, seed, tol):
+    """Closed-form qubit-boson states vs the oracle on random Bloch vectors."""
+    offset, bath = _JCM_BATHS[name]
+    rng = np.random.default_rng(seed + offset)
     blochs = [_random_bloch(rng) for _ in range(10)]
     phis = np.linspace(0.0, 0.5 * math.pi, 10)
-
-    def dev(r, phi):
-        closed = tls.jcm_thermal_components(r, ZERO_TEMPERATURE, phi, omega_t=0.4)
-        brute = oracle.jcm_oracle(r, ZERO_TEMPERATURE, phi, omega_t=0.4, dim=dim)
-        return np.max(np.abs(closed - brute))
-
-    cases = [(r, phi) for r in blochs for phi in phis]
-    return _run_cases("jcm_zero_temperature", tol, dev, cases)
-
-
-def suite_jcm_thermal_series(dim, seed, tol):
-    rng = np.random.default_rng(seed + 2)
-    blochs = [_random_bloch(rng) for _ in range(10)]
-    phis = np.linspace(0.0, 0.5 * math.pi, 10)
-    bath = BathThermal(1.0)
 
     def dev(r, phi):
         closed = tls.jcm_thermal_components(r, bath, phi, omega_t=0.4)
@@ -171,10 +154,10 @@ def suite_jcm_thermal_series(dim, seed, tol):
         return np.max(np.abs(closed - brute))
 
     cases = [(r, phi) for r in blochs for phi in phis]
-    return _run_cases("jcm_thermal_series", tol, dev, cases)
+    return _run_cases(name, tol, dev, cases)
 
 
-def suite_hs_identities(dim, seed, tol):
+def suite_hs_identities(name, dim, seed, tol):
     """sqrt(2) proportionality for coherent and zero-T qubit states, thermal ratio."""
     rng = np.random.default_rng(seed + 3)
     ground = oscillator.ground_state(dim)
@@ -214,10 +197,10 @@ def suite_hs_identities(dim, seed, tol):
     cases = [("coherent", t) for t in _TAUS_11]
     cases += [("jcm", p) for p in np.linspace(0.0, 0.5 * math.pi, 11)]
     cases += [("thermal", t) for t in _TAUS_11]
-    return _run_cases("hs_identities", tol, dev, cases)
+    return _run_cases(name, tol, dev, cases)
 
 
-def suite_hs_thermal_asymptote(dim, seed, tol):
+def suite_hs_thermal_asymptote(name, dim, seed, tol):
     """The thermal HS/trace ratio approaches sqrt(2) deep in the relaxed regime."""
 
     def dev(nbar, tau):
@@ -227,10 +210,10 @@ def suite_hs_thermal_asymptote(dim, seed, tol):
         ) / oscillator.trace_distance_closed(oscillator.Thermal(nbar), cos2)
         return abs(ratio - math.sqrt(2.0))
 
-    return _run_cases("hs_thermal_asymptote", tol, dev, [(3.0, 20.0)])
+    return _run_cases(name, tol, dev, [(3.0, 20.0)])
 
 
-def suite_propagator_unitarity(dim, seed, tol):
+def suite_propagator_unitarity(name, dim, seed, tol):
     rng = np.random.default_rng(seed + 4)
 
     def dev(kind, n):
@@ -248,10 +231,10 @@ def suite_propagator_unitarity(dim, seed, tol):
 
     cases = [("random", n) for n in (2, 6, 16, 32)]
     cases += [("jcm_closed", 12), ("oscillator", 8)]
-    return _run_cases("propagator_unitarity", tol, dev, cases)
+    return _run_cases(name, tol, dev, cases)
 
 
-def suite_jcm_relaxation(dim, seed, tol):
+def suite_jcm_relaxation(name, dim, seed, tol):
     """At phase pi/2 the zero-temperature state is diag(0, 1) for every input."""
     rng = np.random.default_rng(seed + 5)
 
@@ -260,10 +243,10 @@ def suite_jcm_relaxation(dim, seed, tol):
         rho = tls.jcm_thermal_components(r, ZERO_TEMPERATURE, 0.5 * math.pi, omega_t=1.3)
         return np.max(np.abs(rho - tls.ground_state()))
 
-    return _run_cases("jcm_relaxation", tol, dev, [(i,) for i in range(100)])
+    return _run_cases(name, tol, dev, [(i,) for i in range(100)])
 
 
-def suite_crossing_analytics(dim, seed, tol):
+def suite_crossing_analytics(name, dim, seed, tol):
     """Detected trajectory crossings vs the analytic phase root cos^2 = 2/7."""
     r_i = BlochVector(0.0, 0.0, 1.0)
     r_ii = BlochVector(0.5, 0.5, 0.5)
@@ -285,23 +268,24 @@ def suite_crossing_analytics(dim, seed, tol):
             return math.inf
         return abs(times[0] - expected)
 
-    return _run_cases("crossing_analytics", tol, dev, [("ramp",), ("cavity",), ("formula",)])
+    return _run_cases(name, tol, dev, [("ramp",), ("cavity",), ("formula",)])
 
 
-_SUITES = [
-    suite_oscillator_thermal,
-    suite_oscillator_coherent,
-    suite_oscillator_number,
-    suite_oscillator_distances,
-    suite_tls_pair,
-    suite_jcm_zero_temperature,
-    suite_jcm_thermal_series,
-    suite_hs_identities,
-    suite_hs_thermal_asymptote,
-    suite_propagator_unitarity,
-    suite_jcm_relaxation,
-    suite_crossing_analytics,
-]
+# Report name -> suite, in report order.
+_SUITES = {
+    "oscillator_thermal": suite_oscillator_state,
+    "oscillator_coherent": suite_oscillator_state,
+    "oscillator_number": suite_oscillator_state,
+    "oscillator_distances": suite_oscillator_distances,
+    "tls_pair": suite_tls_pair,
+    "jcm_zero_temperature": suite_jcm_oracle,
+    "jcm_thermal_series": suite_jcm_oracle,
+    "hs_identities": suite_hs_identities,
+    "hs_thermal_asymptote": suite_hs_thermal_asymptote,
+    "propagator_unitarity": suite_propagator_unitarity,
+    "jcm_relaxation": suite_jcm_relaxation,
+    "crossing_analytics": suite_crossing_analytics,
+}
 
 
 def run_all(dim: int = 40, seed: int = 2024, tol_overrides: dict | None = None) -> dict:
@@ -312,10 +296,7 @@ def run_all(dim: int = 40, seed: int = 2024, tol_overrides: dict | None = None) 
         if unknown:
             raise KeyError(f"unknown suites in tolerance overrides: {sorted(unknown)}")
         tols.update(tol_overrides)
-    suites = []
-    for fn in _SUITES:
-        name = fn.__name__.removeprefix("suite_")
-        suites.append(fn(dim, seed, tols[name]))
+    suites = [fn(name, dim, seed, tols[name]) for name, fn in _SUITES.items()]
     return {
         "tool": "mpemba-qsim",
         "dim": dim,

@@ -145,6 +145,27 @@ class TestTlsCommand:
             cli.main(["tls", "--bloch", "1,1,1", "--out", str(tmp_path / "x.csv")])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "schedule, beta, meta, tau_scale",
+        [
+            ("exp", "inf", {"type": "exp", "gamma": 1.5}, 1.5),
+            ("sinexp", "2", {"type": "sinexp", "gamma": 1.5}, 1.5),
+            ("ramp", "inf", {"type": "ramp", "t0": 2.0}, 0.5),
+            ("cavity", "2", {"type": "cavity", "t0": 2.0}, 0.5),
+        ],
+    )
+    def test_sidecar_schedule_metadata(self, tmp_path, schedule, beta, meta, tau_scale):
+        out = tmp_path / "s.csv"
+        rc = cli.main(
+            ["tls", "--schedule", schedule, "--gamma", "1.5", "--t0", "2", "--beta", beta,
+             "--steps", "51", "--out", str(out)]
+        )
+        assert rc == 0
+        body = json.loads(out.with_suffix(".json").read_text())
+        assert body["schedule"] == meta
+        assert body["grid"]["tau_scale"] == tau_scale
+        assert body["beta_hbar_omega"] == ("inf" if beta == "inf" else float(beta))
+
     def test_traj_rejected_for_pair_model(self, tmp_path):
         with pytest.raises(SystemExit):
             cli.main(
@@ -161,6 +182,9 @@ class TestVerifyCommand:
         assert report["all_passed"] is True
         names = [s["name"] for s in report["suites"]]
         assert "oscillator_thermal" in names and "crossing_analytics" in names
+        assert list(verify._SUITES) == list(verify.DEFAULT_TOLERANCES) == names
+        cases = [s["cases"] for s in report["suites"]]
+        assert cases == [33, 33, 33, 33, 200, 100, 100, 33, 1, 6, 100, 3]
 
     def test_seeded_runs_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -214,6 +238,43 @@ class TestVerifyCommand:
     def test_unknown_override_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
             cli.main(["verify", "--tol-overrides", "nope=1e-3", "--out", str(tmp_path / "r.json")])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["oscillator", "--states", "thermal:inf", "coherent:nan"],
+        ["oscillator", "--states", "coherent:nan"],
+        ["oscillator", "--steps", "1"],
+        ["oscillator", "--tmax", "-1"],
+        ["oscillator", "--tmax", "inf"],
+        ["oscillator", "--gamma", "0"],
+        ["tls", "--t0", "inf"],
+        ["tls", "--beta", "0"],
+        ["tls", "--beta", "0.001"],
+        ["tls", "--beta", "nan"],
+        ["tls", "--bloch", "nan,0,0"],
+        ["tls", "--model", "pair", "--traj-out", "{tmp}/t.csv"],
+        ["tls", "--omega-t0", "nan", "--traj-out", "{tmp}/t.csv"],
+        ["verify", "--tol-overrides", "nope=1e-3"],
+        ["verify", "--tol-overrides", "oscillator_thermal"],
+        ["verify", "--tol-overrides", "oscillator_thermal=abc"],
+        ["oscillator", "--out", "{tmp}/missing/x.csv"],
+        ["tls", "--out", "{tmp}/missing/x.csv"],
+    ],
+    ids=" ".join,
+)
+def test_usage_error_exits_2_with_one_line(tmp_path, capsys, argv):
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    if "--out" not in argv:
+        argv += ["--out", str(tmp_path / "x.csv")]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if "error:" in line] == [err.splitlines()[-1]]
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestWriteCsv:

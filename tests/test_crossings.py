@@ -53,6 +53,13 @@ class TestSampleSeries:
             sample_series(lambda t: 1.0, [0.0, 0.0, 1.0], "x")
 
 
+class TestDistanceSeries:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.1])
+    def test_rejects_values_that_are_not_distances(self, bad):
+        with pytest.raises(GridError, match="finite and >= 0"):
+            DistanceSeries("x", [0.0, 1.0, 2.0], [0.5, bad, 0.1])
+
+
 class TestDetectCrossings:
     def test_identical_series(self):
         grid = np.linspace(0.0, 1.0, 50)

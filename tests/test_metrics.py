@@ -86,3 +86,6 @@ class TestBlochDistance:
     def test_invalid_norm_rejected(self):
         with pytest.raises(StateError):
             BlochVector(1.0, 1.0, 1.0)
+        for bad in ((math.nan, 0.0, 0.0), (0.0, math.inf, 0.0)):
+            with pytest.raises(StateError, match="not finite"):
+                BlochVector(*bad)

@@ -75,6 +75,22 @@ class TestEvolvedStates:
         with pytest.raises(StateError):
             Thermal(-0.5)
 
+    @pytest.mark.parametrize(
+        "family, value",
+        [
+            (Thermal, math.inf),
+            (Thermal, math.nan),
+            (Coherent, math.nan),
+            (Coherent, math.inf),
+            (Coherent, complex(1.0, math.inf)),
+            (Coherent, complex(math.nan, 0.0)),
+        ],
+        ids=["thermal-inf", "thermal-nan", "coherent-nan", "coherent-inf", "coherent-inf-imag", "coherent-nan-real"],
+    )
+    def test_non_finite_parameter_rejected(self, family, value):
+        with pytest.raises(StateError, match="finite"):
+            family(value)
+
 
 class TestTraceDistanceClosed:
     def test_coherent_value(self):

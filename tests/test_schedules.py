@@ -131,6 +131,17 @@ class TestCommonInvariants:
         assert np.all((cos2 >= 0.0) & (cos2 <= 1.0))
         assert np.max(np.abs(cos2 - np.cos(sched.phase(t)) ** 2)) <= 1e-12
 
+    @pytest.mark.parametrize("cls", [ExpDecay, SinExpDecay, Ramp, CavityMode])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    def test_parameter_must_be_finite_and_positive(self, cls, value):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            cls(value)
+
+    @pytest.mark.parametrize("tmax", [0.0, -1.0, math.nan, math.inf])
+    def test_grid_window_must_be_finite_and_positive(self, tmax):
+        with pytest.raises(GridError, match="finite and > 0"):
+            schedules.time_grid(ExpDecay(1.0), tmax=tmax)
+
     def test_default_grids(self):
         grid = schedules.time_grid(ExpDecay(2.0))
         assert grid.size == 1001 and grid[-1] == pytest.approx(3.0)
