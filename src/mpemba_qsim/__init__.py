@@ -17,9 +17,8 @@ from .crossings import (
     alpha_window_scan,
     detect_crossings,
     pairwise_crossings,
-    sample_series,
 )
-from .metrics import bloch_distance, hs_distance, trace_distance
+from .metrics import hs_distance, trace_distance
 from .oscillator import (
     Coherent,
     Fock,
@@ -32,10 +31,8 @@ from .schedules import (
     CavityMode,
     ExpDecay,
     Ramp,
-    ScheduleSample,
     SinExpDecay,
     Tabulated,
-    sample,
     time_grid,
 )
 from .states import BathThermal, BlochVector, ZERO_TEMPERATURE
@@ -52,20 +49,16 @@ __all__ = [
     "ExpDecay",
     "Fock",
     "Ramp",
-    "ScheduleSample",
     "SinExpDecay",
     "Tabulated",
     "Thermal",
     "ZERO_TEMPERATURE",
     "alpha_window_scan",
-    "bloch_distance",
     "detect_crossings",
     "evolve_closed_form",
     "hs_distance",
     "hs_distance_closed",
     "pairwise_crossings",
-    "sample",
-    "sample_series",
     "time_grid",
     "trace_distance",
     "trace_distance_closed",

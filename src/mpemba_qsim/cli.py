@@ -97,6 +97,19 @@ def _write_json(path: Path, body: dict) -> None:
         fh.write("\n")
 
 
+def _check_outputs(out: str, traj_out: str | None) -> None:
+    """Reject, before any work is done, outputs that coincide or lie in a missing directory."""
+    named = [("--out", out), ("its sidecar", Path(out).with_suffix(".json")), ("--traj-out", traj_out)]
+    seen: dict[Path, str] = {}
+    for name, path in ((name, Path(path)) for name, path in named if path):
+        full = path.resolve()
+        if full in seen:
+            raise ValueError(f"{name} {path} is the same file as {seen[full]}")
+        if not full.parent.is_dir():
+            raise ValueError(f"{name} {path}: directory {full.parent} does not exist")
+        seen[full] = name
+
+
 def _emit_curves(out: Path, tau, labels, columns, extra_header, extra_columns, meta: dict) -> None:
     """Write the curve CSV, then the crossing report of every curve pair to ``<out>.json``.
 
@@ -131,6 +144,7 @@ def _state_label(state) -> str:
 def cmd_oscillator(args) -> int:
     if args.states is None:
         args.states = [oscillator.Thermal(3.0), oscillator.Coherent(1.0), oscillator.Fock(1)]
+    _check_outputs(args.out, None)
     schedule = _SCHEDULES[args.schedule](args.gamma)
     grid = time_grid(schedule, args.steps, args.tmax)
     tau = args.gamma * grid
@@ -180,6 +194,7 @@ def cmd_tls(args) -> int:
         raise ValueError("--traj-out is only available for --model jcm")
     if not math.isfinite(args.omega_t0):
         raise ValueError(f"--omega-t0 must be finite, got {args.omega_t0}")
+    _check_outputs(args.out, args.traj_out)
 
     grid = time_grid(schedule, args.steps, args.tmax)
     tau = tau_scale * grid

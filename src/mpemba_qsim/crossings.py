@@ -1,4 +1,4 @@
-"""Distance-trajectory sampling, crossing detection, and Mpemba classification.
+"""Crossing detection between distance trajectories, and Mpemba classification.
 
 A Mpemba crossing means the trajectory that starts farther from equilibrium
 ends up strictly below the other one after their last intersection.
@@ -7,7 +7,7 @@ ends up strictly below the other one after their last intersection.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -57,19 +57,6 @@ class CrossingReport:
 
     window: tuple[float, float]
     pairs: list[CrossingPair] = field(default_factory=list)
-
-
-def sample_series(
-    distance_fn: Callable[[float], float], grid: Sequence[float], label: str
-) -> DistanceSeries:
-    """Evaluate a distance function pointwise on a grid."""
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2:
-        raise GridError("grid needs at least 2 points")
-    if np.any(np.diff(grid) <= 0):
-        raise GridError("grid must be strictly ascending")
-    values = np.array([float(distance_fn(t)) for t in grid])
-    return DistanceSeries(label, grid, values)
 
 
 def _crossings_of_difference(

@@ -41,15 +41,6 @@ def number_operator(dim: int) -> np.ndarray:
     return np.diag(np.arange(dim, dtype=float)).astype(complex)
 
 
-def basis_state(dim: int, n: int) -> np.ndarray:
-    """Unit column vector |n> in a dim-level space."""
-    if not 0 <= n < dim:
-        raise DimensionError(f"level {n} outside 0..{dim - 1}")
-    v = np.zeros(dim, dtype=complex)
-    v[n] = 1.0
-    return v
-
-
 def projector(vec: np.ndarray) -> np.ndarray:
     """|v><v| for a (not necessarily normalized) column vector."""
     v = np.asarray(vec, dtype=complex).ravel()
@@ -112,12 +103,3 @@ def validate_density_matrix(rho: np.ndarray, what: str = "state") -> None:
     w = np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)
     if float(w[0]) < DENSITY_EIG_FLOOR:
         raise StateError(f"{what}: negative eigenvalue {w[0]:.3e}")
-
-
-def is_density_matrix(rho: np.ndarray) -> bool:
-    """Boolean form of :func:`validate_density_matrix`."""
-    try:
-        validate_density_matrix(rho)
-    except (StateError, DimensionError):
-        return False
-    return True

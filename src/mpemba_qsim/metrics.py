@@ -1,7 +1,7 @@
 """Distance measures between quantum states.
 
-Production code always takes the Hermitian-eigenvalue route for the trace
-distance; pure-state shortcuts exist only as independent oracles in the tests.
+The matrix routes check the closed-form laws in ``verify`` and the tests; the
+CLI's finite-temperature qubit curves use :func:`traceless_qubit_distance`.
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ import numpy as np
 
 from .errors import DimensionError
 from .linalg import eig_hermitian
-from .states import BlochVector
 
 # Eigenvalues below this are round-off of "equal states" and clamped to 0 so
 # trace_distance(rho, rho) is exactly 0.
@@ -49,11 +48,3 @@ def hs_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Hilbert-Schmidt (Frobenius) distance sqrt(tr[(rho - sigma)^2])."""
     rho, sigma = _check_same_dims(rho, sigma)
     return float(np.linalg.norm(rho - sigma))
-
-
-def bloch_distance(a1: BlochVector, a2: BlochVector) -> float:
-    """Half the Euclidean distance between two Bloch vectors.
-
-    Equals the trace distance of the corresponding qubit states.
-    """
-    return float(0.5 * np.linalg.norm(a1.as_array() - a2.as_array()))

@@ -23,15 +23,6 @@ from .errors import GridError, TimeDomainError
 DEFAULT_GRID_STEPS = 1001
 
 
-@dataclass(frozen=True)
-class ScheduleSample:
-    """One evaluation point: time, cos^2 of the phase, and the phase itself."""
-
-    t: float
-    cos2: float
-    phase: float
-
-
 def check_cos2(values, name: str = "cos2") -> np.ndarray:
     """``values`` as a float array, rejecting anything outside [0, 1] (NaN included)."""
     c = np.asarray(values, dtype=float)
@@ -134,9 +125,9 @@ class Tabulated:
         c = np.asarray(cos2_values, dtype=float)
         if t.ndim != 1 or t.shape != c.shape or t.size < 2:
             raise GridError("tabulated schedule needs two equal-length lists, >= 2 points")
-        if np.any(np.diff(t) <= 0):
-            raise GridError("tabulated times must be strictly ascending")
-        if np.any((c < 0.0) | (c > 1.0)):
+        if not (np.all(np.isfinite(t)) and np.all(np.diff(t) > 0)):
+            raise GridError("tabulated times must be finite and strictly ascending")
+        if not np.all((c >= 0.0) & (c <= 1.0)):
             raise GridError("tabulated cos2 values must lie in [0, 1]")
         self.times = t.copy()
         self.cos2_values = c.copy()
@@ -150,12 +141,6 @@ class Tabulated:
 
 
 Schedule = Union[ExpDecay, SinExpDecay, Ramp, CavityMode, Tabulated]
-
-
-def sample(schedule: Schedule, t: float) -> ScheduleSample:
-    """Evaluate one schedule point; raises TimeDomainError for t < 0."""
-    t = float(t)
-    return ScheduleSample(t, float(schedule.cos2(t)), float(schedule.phase(t)))
 
 
 def default_tmax(schedule: Schedule) -> float:

@@ -36,9 +36,6 @@ class BlochVector:
         """In-plane coherence magnitude sqrt(rx^2 + ry^2)."""
         return math.hypot(self.rx, self.ry)
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.rx, self.ry, self.rz], dtype=float)
-
     @classmethod
     def from_sequence(cls, seq: Iterable[float]) -> "BlochVector":
         vals = [float(x) for x in seq]
@@ -67,10 +64,11 @@ class BathThermal:
 
     @property
     def p_excited(self) -> float:
-        """Excited-level weight 1/(1 + e^(beta hbar omega)) of a thermal qubit."""
-        if self.is_zero_temperature:
-            return 0.0
-        return 1.0 / (1.0 + math.exp(self.beta_hbar_omega))
+        """Excited-level weight 1/(1 + e^(beta hbar omega)) of a thermal qubit; 0 at beta = inf."""
+        try:
+            return 1.0 / (1.0 + math.exp(self.beta_hbar_omega))
+        except OverflowError:  # e^beta beyond the float range: the weight is e^-beta
+            return math.exp(-self.beta_hbar_omega)
 
     @property
     def p_ground(self) -> float:
@@ -78,19 +76,13 @@ class BathThermal:
 
     @property
     def nbar(self) -> float:
-        """Mean boson occupation 1/(e^(beta hbar omega) - 1); inf at beta=0."""
-        if self.is_zero_temperature:
-            return 0.0
+        """Mean boson occupation 1/(e^(beta hbar omega) - 1); inf at beta = 0, 0 at beta = inf."""
         if self.beta_hbar_omega == 0.0:
             return math.inf
-        return 1.0 / math.expm1(self.beta_hbar_omega)
-
-    @property
-    def boltzmann_ratio(self) -> float:
-        """Weight ratio e^(-beta hbar omega) between adjacent boson levels."""
-        if self.is_zero_temperature:
-            return 0.0
-        return math.exp(-self.beta_hbar_omega)
+        try:
+            return 1.0 / math.expm1(self.beta_hbar_omega)
+        except OverflowError:  # e^beta beyond the float range: the occupation is e^-beta
+            return math.exp(-self.beta_hbar_omega)
 
 
 ZERO_TEMPERATURE = BathThermal(math.inf)

@@ -78,20 +78,18 @@ def jcm_propagator_closed(phi: float, dim: int) -> np.ndarray:
     return np.block([[tl, tr], [bl, br]]).astype(complex)
 
 
-def _bath_weights(bath: BathThermal, n_max: int | None = None) -> np.ndarray:
+def _bath_weights(bath: BathThermal) -> np.ndarray:
     """Boltzmann weights e^(-b n) (1 - e^(-b)), normalized by the exact partition sum.
 
-    The truncated tail is below BOLTZMANN_CUT of the total weight by
-    construction; an explicit n_max that cannot guarantee that raises.
+    The series stops at the first n whose weight ratio e^(-b n) is below
+    BOLTZMANN_CUT; a bath hot enough to need more than SERIES_CAP terms raises.
     """
     if bath.is_zero_temperature:
         return np.array([1.0])
     b = bath.beta_hbar_omega
     if b <= 0.0:
         raise StateError("thermal boson bath needs beta*hbar*omega > 0")
-    needed = math.ceil(-math.log(BOLTZMANN_CUT) / b)
-    if n_max is None:
-        n_max = min(needed, SERIES_CAP)
+    n_max = min(math.ceil(-math.log(BOLTZMANN_CUT) / b), SERIES_CAP)
     if math.exp(-b * n_max) >= BOLTZMANN_CUT:
         raise TruncationError(
             f"series cut at n_max={n_max} leaves Boltzmann weight "
@@ -101,13 +99,7 @@ def _bath_weights(bath: BathThermal, n_max: int | None = None) -> np.ndarray:
     return np.exp(-b * n) * (1.0 - math.exp(-b))
 
 
-def jcm_thermal_series(
-    r: BlochVector,
-    bath: BathThermal,
-    phi,
-    omega_t=0.0,
-    n_max: int | None = None,
-):
+def jcm_thermal_series(r: BlochVector, bath: BathThermal, phi, omega_t=0.0):
     """Excited population rho_ee and coherence rho_eg of the qubit after
     exchanging with a thermal boson mode, for a scalar or an array of phases.
 
@@ -116,7 +108,7 @@ def jcm_thermal_series(
     summed in blocks of about SERIES_CHUNK_CELLS (phase, level) cells, each
     row in the same order as a single-phase sum.
     """
-    w = _bath_weights(bath, n_max)
+    w = _bath_weights(bath)
     phi = np.asarray(phi, dtype=float)
     flat = phi.reshape(-1)
     roots = np.sqrt(np.arange(len(w) + 1, dtype=float))
@@ -139,14 +131,10 @@ def jcm_thermal_series(
 
 
 def jcm_thermal_components(
-    r: BlochVector,
-    bath: BathThermal,
-    phi: float,
-    omega_t: float = 0.0,
-    n_max: int | None = None,
+    r: BlochVector, bath: BathThermal, phi: float, omega_t: float = 0.0
 ) -> np.ndarray:
     """Reduced 2x2 qubit state of :func:`jcm_thermal_series` at one phase."""
-    rho_ee, rho_eg = jcm_thermal_series(r, bath, float(phi), omega_t, n_max)
+    rho_ee, rho_eg = jcm_thermal_series(r, bath, float(phi), omega_t)
     return _qubit_matrix(rho_ee, 1.0 - rho_ee, rho_eg)
 
 
@@ -161,11 +149,6 @@ def jcm_bloch_components(r: BlochVector, phi, omega_t=0.0):
         (r.rx * sw + r.ry * cw) * c,
         r.rz * c * c - np.sin(phi) ** 2,
     )
-
-
-def jcm_bloch(r: BlochVector, phi: float, omega_t: float = 0.0) -> BlochVector:
-    """:func:`jcm_bloch_components` at one phase, as a Bloch vector."""
-    return BlochVector(*(float(a) for a in jcm_bloch_components(r, phi, omega_t)))
 
 
 def jcm_trace_distance(r: BlochVector, phi_cos2):

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from mpemba_qsim import linalg, metrics, oracle, oscillator, tls
-from mpemba_qsim.crossings import alpha_window_scan, detect_crossings, sample_series
-from mpemba_qsim.errors import TruncationWarning
+from mpemba_qsim.crossings import DistanceSeries, alpha_window_scan, detect_crossings
+from mpemba_qsim.errors import DimensionError, StateError, TruncationWarning
 from mpemba_qsim.oscillator import Coherent, Fock, Thermal
 from mpemba_qsim.schedules import CavityMode, ExpDecay, Ramp, time_grid
 from mpemba_qsim.states import BathThermal, BlochVector, ZERO_TEMPERATURE
@@ -30,10 +30,9 @@ def check(criterion, description, ok):
 
 def jcm_pair_series(schedule, steps=1001):
     grid = time_grid(schedule, steps)
+    cos2 = schedule.cos2(grid)
     return [
-        sample_series(
-            lambda t, r=r: tls.jcm_trace_distance(r, float(schedule.cos2(t))), grid, name
-        )
+        DistanceSeries(name, grid, tls.jcm_trace_distance(r, cos2))
         for r, name in ((EXCITED, "i"), (TILTED, "ii"))
     ]
 
@@ -295,10 +294,13 @@ def test_criterion_09_property_suites():
         states_ok = True
         for state in (Thermal(3.0), Coherent(2.0), Fock(5)):
             for tau in TAUS_11:
-                rho = oscillator.evolve_closed_form(state, math.exp(-tau), 0.0, 40)
-                states_ok = states_ok and linalg.is_density_matrix(rho)
-                rho = oracle.oscillator_oracle(state, 0.0, 0.0, math.acos(math.sqrt(math.exp(-tau))), 40)
-                states_ok = states_ok and linalg.is_density_matrix(rho)
+                closed = oscillator.evolve_closed_form(state, math.exp(-tau), 0.0, 40)
+                brute = oracle.oscillator_oracle(state, 0.0, 0.0, math.acos(math.sqrt(math.exp(-tau))), 40)
+                for rho in (closed, brute):
+                    try:
+                        linalg.validate_density_matrix(rho)
+                    except (StateError, DimensionError):
+                        states_ok = False
     ok = check(9, f"every evolved state is a valid density matrix: {states_ok}", states_ok) and ok
 
     worst_r = 0.0

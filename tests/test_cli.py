@@ -126,6 +126,14 @@ class TestTlsCommand:
         # fully swapped: distance to the bath-thermal point decays to 0
         assert data[-1, 1] == pytest.approx(0.0, abs=1e-2)
 
+    @pytest.mark.parametrize("beta", ["710", "1e6"])
+    def test_pair_past_exp_overflow(self, tmp_path, beta):
+        out = tmp_path / "cold.csv"
+        rc = cli.main(["tls", "--model", "pair", "--beta", beta, "--steps", "101", "--out", str(out)])
+        assert rc == 0
+        _, data = read_csv(out)
+        assert data.shape == (101, 3) and np.all(np.isfinite(data))
+
     def test_bloch_trajectory_output(self, tmp_path):
         out = tmp_path / "jcm.csv"
         traj = tmp_path / "traj.csv"
@@ -261,6 +269,11 @@ class TestVerifyCommand:
         ["verify", "--tol-overrides", "oscillator_thermal=abc"],
         ["oscillator", "--out", "{tmp}/missing/x.csv"],
         ["tls", "--out", "{tmp}/missing/x.csv"],
+        ["oscillator", "--out", "{tmp}/x.json"],
+        ["tls", "--out", "{tmp}/x.json"],
+        ["tls", "--traj-out", "{tmp}/x.csv"],
+        ["tls", "--traj-out", "{tmp}/./x.json"],
+        ["tls", "--traj-out", "{tmp}/missing/t.csv"],
     ],
     ids=" ".join,
 )

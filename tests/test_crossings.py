@@ -9,7 +9,6 @@ from mpemba_qsim.crossings import (
     alpha_window_scan,
     detect_crossings,
     pairwise_crossings,
-    sample_series,
 )
 from mpemba_qsim.errors import GridError
 from mpemba_qsim.schedules import CavityMode, Ramp, time_grid
@@ -20,37 +19,36 @@ TILTED = BlochVector(0.5, 0.5, 0.5)
 
 
 def jcm_series(schedule, grid, blochs=(EXCITED, TILTED)):
+    cos2 = schedule.cos2(grid)
     return [
-        sample_series(
-            lambda t, r=r: tls.jcm_trace_distance(r, float(schedule.cos2(t))),
-            grid,
-            f"r={r.rx:g},{r.ry:g},{r.rz:g}",
-        )
+        DistanceSeries(f"r={r.rx:g},{r.ry:g},{r.rz:g}", grid, tls.jcm_trace_distance(r, cos2))
         for r in blochs
     ]
 
 
 class TestSampleSeries:
+    """Distance curves sampled on a grid into a DistanceSeries."""
+
     def test_constant_function(self):
-        s = sample_series(lambda t: 0.25, [0.0, 1.0, 2.0], "const")
+        s = DistanceSeries("const", [0.0, 1.0, 2.0], np.full(3, 0.25))
         assert np.all(s.values == 0.25)
         assert s.label == "const"
 
     def test_excited_jcm_curve_is_cos2(self):
         sched = Ramp(1.0)
         grid = time_grid(sched, 101, 2.0)
-        s = sample_series(lambda t: tls.jcm_trace_distance(EXCITED, float(sched.cos2(t))), grid, "i")
+        s = DistanceSeries("i", grid, tls.jcm_trace_distance(EXCITED, sched.cos2(grid)))
         assert np.max(np.abs(s.values - sched.cos2(grid))) <= 1e-15
 
     def test_grid_length(self):
         grid = np.linspace(0.0, 1.0, 1001)
-        assert sample_series(lambda t: t, grid, "x").values.size == 1001
+        assert DistanceSeries("x", grid, grid).values.size == 1001
 
     def test_rejects_bad_grids(self):
         with pytest.raises(GridError):
-            sample_series(lambda t: 1.0, [0.0], "x")
+            DistanceSeries("x", [0.0], [1.0])
         with pytest.raises(GridError):
-            sample_series(lambda t: 1.0, [0.0, 0.0, 1.0], "x")
+            DistanceSeries("x", [0.0, 0.0, 1.0], [1.0, 1.0, 1.0])
 
 
 class TestDistanceSeries:
@@ -130,7 +128,7 @@ class TestDetectCrossings:
         sched = Ramp(1.0)
         grid = time_grid(sched, 201)
         series = jcm_series(sched, grid) + [
-            sample_series(lambda t: 2.0 + 0.0 * t, grid, "flat")
+            DistanceSeries("flat", grid, np.full(grid.size, 2.0))
         ]
         report = pairwise_crossings(series)
         assert len(report.pairs) == 3
@@ -166,15 +164,11 @@ class TestOscillatorPairs:
     def test_coherent_vs_fock_single_crossing(self):
         # number state starts farther (1 vs sqrt(1 - e^-1)) and relaxes faster
         grid = np.linspace(0.0, 10.0, 2001)
-        s_num = sample_series(
-            lambda t: oscillator.trace_distance_closed(oscillator.Fock(1), math.exp(-t)),
-            grid,
-            "number:1",
+        s_num = DistanceSeries(
+            "number:1", grid, oscillator.trace_distance_closed(oscillator.Fock(1), np.exp(-grid))
         )
-        s_coh = sample_series(
-            lambda t: oscillator.trace_distance_closed(oscillator.Coherent(1.0), math.exp(-t)),
-            grid,
-            "coherent:1",
+        s_coh = DistanceSeries(
+            "coherent:1", grid, oscillator.trace_distance_closed(oscillator.Coherent(1.0), np.exp(-grid))
         )
         pair = detect_crossings(s_num, s_coh).pairs[0]
         assert len(pair.crossing_times) == 1
@@ -183,15 +177,11 @@ class TestOscillatorPairs:
     def test_thermal_vs_fock_crossing_at_hand_computed_time(self):
         # curves meet where cos2 = 3 cos2/(3 cos2 + 1), i.e. cos2 = 2/3
         grid = np.linspace(0.0, 6.0, 4001)
-        s_num = sample_series(
-            lambda t: oscillator.trace_distance_closed(oscillator.Fock(1), math.exp(-t)),
-            grid,
-            "number:1",
+        s_num = DistanceSeries(
+            "number:1", grid, oscillator.trace_distance_closed(oscillator.Fock(1), np.exp(-grid))
         )
-        s_th = sample_series(
-            lambda t: oscillator.trace_distance_closed(oscillator.Thermal(3.0), math.exp(-t)),
-            grid,
-            "thermal:3",
+        s_th = DistanceSeries(
+            "thermal:3", grid, oscillator.trace_distance_closed(oscillator.Thermal(3.0), np.exp(-grid))
         )
         pair = detect_crossings(s_num, s_th).pairs[0]
         assert len(pair.crossing_times) == 1

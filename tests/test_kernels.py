@@ -6,6 +6,9 @@ point by point, with evolving the state matrix and measuring it through
 widen the trace comparison by exactly their measured size: it clamps
 eigenvalues below EIGENVALUE_CLIP to 0, and its log-gamma binomial
 populations carry rounding of order eps * ln C(n, k) (about 1e-14 at n = 170).
+
+The same kernels are also checked against the bounds of their metric and
+for growth with cos^2, the direction in which every curve here relaxes.
 """
 
 import math
@@ -169,3 +172,66 @@ def test_bad_cos2_in_an_array_is_rejected(law, cos2, bad, at):
     cos2.insert(at % (len(cos2) + 1), bad)
     with pytest.raises(ValueError):
         law(np.array(cos2))
+
+
+# Neighbouring samples of a kernel are separate floating-point evaluations, so
+# a non-decreasing law can step down between them by a few ulp (measured: up
+# to 4.4e-16 on adjacent doubles).  The one real decrease, Fock(12) HS below,
+# falls by 3.7e-7 per 0.001 of cos^2.
+ROUNDOFF = 2e-15
+sorted_cos2 = st.lists(st.floats(0.0, 1.0), max_size=10).map(
+    lambda values: np.array(sorted({0.0, 1.0, *values}))
+)
+oscillator_states = st.one_of(
+    st.floats(0.0, 50.0).map(Thermal),
+    st.floats(0.0, 5.0).map(Coherent),
+    st.integers(0, 11).map(Fock),
+)
+
+
+def pair_distance(r, bath, cos2):
+    """Distance of the qubit-pair state to its bath-thermal fixed point, as the CLI writes it."""
+    rho_ee, _, rho_eg = tls.tls_pair_components(r, bath, cos2)
+    return metrics.traceless_qubit_distance(rho_ee - bath.p_excited, rho_eg)
+
+
+def assert_in_range_and_non_decreasing(values, upper):
+    assert np.all((values >= 0.0) & (values <= upper))
+    assert np.all(np.diff(values) >= -ROUNDOFF)
+
+
+@SETTINGS
+@given(state=oscillator_states, cos2=sorted_cos2)
+def test_oscillator_laws_bounded_and_non_decreasing_in_cos2(state, cos2):
+    assert_in_range_and_non_decreasing(oscillator.trace_distance_closed(state, cos2), 1.0)
+    assert_in_range_and_non_decreasing(oscillator.hs_distance_closed(state, cos2), math.sqrt(2.0))
+
+
+@SETTINGS
+@given(r=bloch_vectors(), beta=st.floats(0.01, 800.0), cos2=sorted_cos2)
+def test_qubit_laws_bounded_and_non_decreasing_in_cos2(r, beta, cos2):
+    assert_in_range_and_non_decreasing(tls.jcm_trace_distance(r, cos2), 1.0)
+    assert_in_range_and_non_decreasing(pair_distance(r, BathThermal(beta), cos2), 1.0)
+
+
+def test_fock_hs_distance_dips_from_n_12():
+    # the same check catches the real dip of the Fock(12) HS law
+    cos2 = np.linspace(0.40, 0.50, 101)
+    assert np.all(np.diff(oscillator.hs_distance_closed(Fock(11), cos2)) > 0.0)
+    dips = np.diff(oscillator.hs_distance_closed(Fock(12), cos2)) < -ROUNDOFF
+    assert dips.any() and np.ptp(cos2[:-1][dips]) < 0.05
+
+
+def test_fock_hs_slope_sign_at_40_digits():
+    """dD^2/dc of the binomial law: positive for n = 11, negative near c = 0.447 for n = 12."""
+    mp = pytest.importorskip("mpmath")
+
+    def d2(n, c):
+        p = [mp.binomial(n, k) * c**k * (1 - c) ** (n - k) for k in range(n + 1)]
+        return sum(pk**2 for pk in p[1:]) + (1 - p[0]) ** 2
+
+    with mp.workdps(40):
+        slope_11 = min(mp.diff(lambda c: d2(11, c), mp.mpf(i) / 100) for i in range(1, 100))
+        slope_12 = mp.diff(lambda c: d2(12, c), mp.mpf("0.447"))
+    assert slope_11 > 0.017
+    assert -8.1e-4 < slope_12 < -7.9e-4

@@ -151,7 +151,3 @@ class TestDensityValidation:
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(StateError):
             linalg.validate_density_matrix(np.diag([1.5, -0.5]).astype(complex))
-
-    def test_boolean_form(self, rng):
-        assert linalg.is_density_matrix(random_density_matrix(rng, 3))
-        assert not linalg.is_density_matrix(np.eye(3, dtype=complex))

@@ -5,9 +5,9 @@ import pytest
 
 from mpemba_qsim import linalg, metrics
 from mpemba_qsim.errors import DimensionError, StateError
-from mpemba_qsim.states import BlochVector, bloch_density_matrix
+from mpemba_qsim.states import BlochVector
 
-from conftest import random_bloch, random_density_matrix, random_ket
+from conftest import random_density_matrix, random_ket
 
 
 class TestTraceDistance:
@@ -70,19 +70,6 @@ class TestHsDistance:
 
 
 class TestBlochDistance:
-    def test_equal_vectors(self):
-        b = BlochVector(0.1, 0.2, 0.3)
-        assert metrics.bloch_distance(b, b) == 0.0
-
-    def test_antipodal(self):
-        assert metrics.bloch_distance(BlochVector(0, 0, 1), BlochVector(0, 0, -1)) == 1.0
-
-    def test_matches_trace_distance(self, rng):
-        for _ in range(20):
-            a1, a2 = random_bloch(rng), random_bloch(rng)
-            expected = metrics.trace_distance(bloch_density_matrix(a1), bloch_density_matrix(a2))
-            assert metrics.bloch_distance(a1, a2) == pytest.approx(expected, abs=1e-12)
-
     def test_invalid_norm_rejected(self):
         with pytest.raises(StateError):
             BlochVector(1.0, 1.0, 1.0)

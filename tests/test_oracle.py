@@ -60,7 +60,7 @@ class TestOscillatorOracle:
         levels = 10
         u = oracle.oscillator_propagator(0.6, 1.1, levels, levels)
         for n in (0, 3, 7):
-            psi0 = np.kron(linalg.basis_state(levels, n), linalg.basis_state(levels, 0))
+            psi0 = np.kron(np.eye(levels)[n], np.eye(levels)[0])
             psi = u @ psi0
             dense = linalg.partial_trace_b(np.outer(psi, psi.conj()), levels, levels)
             got = oracle.oscillator_oracle(Fock(n), 0.0, 0.6, 1.1, levels)
@@ -92,7 +92,7 @@ class TestOscillatorOracle:
         n_tot = linalg.tensor(
             linalg.number_operator(levels), np.eye(levels, dtype=complex)
         ) + linalg.tensor(np.eye(levels, dtype=complex), linalg.number_operator(levels))
-        psi0 = np.kron(linalg.basis_state(levels, 3), linalg.basis_state(levels, 0))
+        psi0 = np.kron(np.eye(levels)[3], np.eye(levels)[0])
         values = []
         for kappa in np.linspace(0.0, math.pi, 7):
             u = oracle.oscillator_propagator(0.0, float(kappa), levels, levels)
@@ -246,6 +246,12 @@ class TestJcmOracle:
     def test_infinite_temperature_rejected(self):
         with pytest.raises(StateError):
             oracle.jcm_oracle(EXCITED, BathThermal(0.0), 0.5, dim=10)
+
+    def test_bath_past_exp_overflow_is_zero_temperature(self, rng):
+        r = random_bloch(rng)
+        got = oracle.jcm_oracle(r, BathThermal(710.0), 0.9, 0.3, dim=10)
+        cold = oracle.jcm_oracle(r, ZERO_TEMPERATURE, 0.9, 0.3, dim=10)
+        assert np.max(np.abs(got - cold)) <= 1e-15
 
     def test_cold_bath_full_relaxation(self):
         rho = oracle.jcm_oracle(EXCITED, ZERO_TEMPERATURE, math.pi / 2, dim=20)

@@ -10,11 +10,10 @@ from mpemba_qsim.schedules import CavityMode, ExpDecay, Ramp, SinExpDecay, Tabul
 
 class TestExpDecay:
     def test_starts_at_one(self):
-        assert schedules.sample(ExpDecay(1.0), 0.0).cos2 == 1.0
+        assert float(ExpDecay(1.0).cos2(0.0)) == 1.0
 
     def test_law(self):
-        s = schedules.sample(ExpDecay(2.0), 0.7)
-        assert s.cos2 == pytest.approx(math.exp(-1.4), abs=1e-15)
+        assert float(ExpDecay(2.0).cos2(0.7)) == pytest.approx(math.exp(-1.4), abs=1e-15)
 
     def test_monotone_decreasing(self):
         t = np.linspace(0.0, 8.0, 400)
@@ -22,7 +21,7 @@ class TestExpDecay:
 
     def test_negative_time(self):
         with pytest.raises(TimeDomainError):
-            schedules.sample(ExpDecay(1.0), -0.1)
+            ExpDecay(1.0).cos2(-0.1)
 
     def test_positive_rate_required(self):
         with pytest.raises(ValueError):
@@ -32,12 +31,12 @@ class TestExpDecay:
 class TestSinExpDecay:
     def test_starts_at_one_ends_at_zero(self):
         sched = SinExpDecay(1.0)
-        assert schedules.sample(sched, 0.0).cos2 == pytest.approx(1.0, abs=1e-15)
-        assert schedules.sample(sched, 40.0).cos2 == pytest.approx(0.0, abs=1e-12)
+        assert float(sched.cos2(0.0)) == pytest.approx(1.0, abs=1e-15)
+        assert float(sched.cos2(40.0)) == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_value(self):
         # sin^2((pi/2) e^-1) evaluated directly
-        got = schedules.sample(SinExpDecay(1.0), 1.0).cos2
+        got = float(SinExpDecay(1.0).cos2(1.0))
         assert got == pytest.approx(math.sin(0.5 * math.pi * math.exp(-1.0)) ** 2, abs=1e-15)
 
     def test_monotone_decreasing(self):
@@ -47,13 +46,11 @@ class TestSinExpDecay:
 
 class TestRamp:
     def test_phase_quadratic(self):
-        s = schedules.sample(Ramp(2.0), 1.0)
-        assert s.phase == pytest.approx(0.5 * math.pi * 0.25, abs=1e-15)
+        assert float(Ramp(2.0).phase(1.0)) == pytest.approx(0.5 * math.pi * 0.25, abs=1e-15)
 
     def test_endpoint(self):
-        s = schedules.sample(Ramp(1.0), 1.0)
-        assert s.phase == pytest.approx(math.pi / 2, abs=1e-15)
-        assert s.cos2 == pytest.approx(0.0, abs=1e-15)
+        assert float(Ramp(1.0).phase(1.0)) == pytest.approx(math.pi / 2, abs=1e-15)
+        assert float(Ramp(1.0).cos2(1.0)) == pytest.approx(0.0, abs=1e-15)
 
     def test_constant_beyond_t0(self):
         sched = Ramp(1.0)
@@ -64,14 +61,13 @@ class TestRamp:
 class TestCavityMode:
     def test_halfway_value(self):
         # (pi/4)(1 - cos(pi/2)) = pi/4 by hand
-        s = schedules.sample(CavityMode(1.0), 0.5)
-        assert s.phase == pytest.approx(math.pi / 4, abs=1e-15)
-        assert s.cos2 == pytest.approx(0.5, abs=1e-15)
+        assert float(CavityMode(1.0).phase(0.5)) == pytest.approx(math.pi / 4, abs=1e-15)
+        assert float(CavityMode(1.0).cos2(0.5)) == pytest.approx(0.5, abs=1e-15)
 
     def test_constant_beyond_t0(self):
         sched = CavityMode(2.0)
-        assert schedules.sample(sched, 2.0).phase == pytest.approx(math.pi / 2, abs=1e-15)
-        assert schedules.sample(sched, 7.0).phase == math.pi / 2
+        assert float(sched.phase(2.0)) == pytest.approx(math.pi / 2, abs=1e-15)
+        assert float(sched.phase(7.0)) == math.pi / 2
 
     def test_smooth_switch_on_and_off(self):
         sched = CavityMode(1.0)
@@ -83,8 +79,8 @@ class TestCavityMode:
 class TestTabulated:
     def test_interpolation_and_clamping(self):
         sched = Tabulated([0.0, 1.0, 2.0], [1.0, 0.5, 0.2])
-        assert schedules.sample(sched, 0.5).cos2 == pytest.approx(0.75, abs=1e-15)
-        assert schedules.sample(sched, 10.0).cos2 == pytest.approx(0.2, abs=1e-15)
+        assert float(sched.cos2(0.5)) == pytest.approx(0.75, abs=1e-15)
+        assert float(sched.cos2(10.0)) == pytest.approx(0.2, abs=1e-15)
 
     def test_validation(self):
         with pytest.raises(GridError):
@@ -93,18 +89,33 @@ class TestTabulated:
             Tabulated([0.0, 1.0], [1.0, 1.5])
         with pytest.raises(GridError):
             Tabulated([0.0], [1.0])
+        for times, cos2 in (
+            ([0.0, math.nan, 2.0], [1.0, 0.5, 0.0]),
+            ([0.0, 1.0, math.inf], [1.0, 0.5, 0.0]),
+            ([-math.inf, 1.0, 2.0], [1.0, 0.5, 0.0]),
+            ([0.0, 1.0, 2.0], [1.0, math.nan, 0.0]),
+        ):
+            with pytest.raises(GridError):
+                Tabulated(times, cos2)
 
     def test_csv_loader(self, tmp_path):
         path = tmp_path / "profile.csv"
         path.write_text("t,cos2\n0.0,1.0\n1.0,0.4\n2.0,0.1\n")
         sched = schedules.tabulated_from_csv(path)
-        assert schedules.sample(sched, 1.0).cos2 == pytest.approx(0.4, abs=1e-15)
+        assert float(sched.cos2(1.0)) == pytest.approx(0.4, abs=1e-15)
 
     def test_csv_loader_no_header(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text("0.0,1.0\n2.0,0.0\n")
         sched = schedules.tabulated_from_csv(path)
-        assert schedules.sample(sched, 1.0).cos2 == pytest.approx(0.5, abs=1e-15)
+        assert float(sched.cos2(1.0)) == pytest.approx(0.5, abs=1e-15)
+
+    @pytest.mark.parametrize("row", ["1.0,nan", "nan,0.5"])
+    def test_csv_loader_rejects_non_finite_row(self, tmp_path, row):
+        path = tmp_path / "nan.csv"
+        path.write_text(f"t,cos2\n0.0,1.0\n{row}\n3.0,0.0\n")
+        with pytest.raises(GridError):
+            schedules.tabulated_from_csv(path)
 
     def test_csv_loader_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -147,8 +147,9 @@ class TestJcmThermalComponents:
             linalg.validate_density_matrix(rho)
 
     def test_insufficient_n_max(self):
+        # b = 0.001 needs ~32000 terms, past SERIES_CAP
         with pytest.raises(TruncationError):
-            tls.jcm_thermal_components(EXCITED, BathThermal(1.0), 0.5, n_max=5)
+            tls.jcm_thermal_components(EXCITED, BathThermal(0.001), 0.5)
 
     def test_infinite_temperature_rejected(self):
         with pytest.raises(StateError):
@@ -157,35 +158,34 @@ class TestJcmThermalComponents:
 
 class TestJcmBloch:
     def test_no_interaction_identity(self):
-        a = tls.jcm_bloch(TILTED, 0.0, 0.0)
-        assert (a.rx, a.ry, a.rz) == (0.5, 0.5, 0.5)
+        assert tls.jcm_bloch_components(TILTED, 0.0, 0.0) == (0.5, 0.5, 0.5)
 
     def test_full_relaxation_point(self, rng):
         for _ in range(10):
-            a = tls.jcm_bloch(random_bloch(rng), math.pi / 2, float(rng.uniform(0, 9)))
-            assert abs(a.rx) <= 1e-15 and abs(a.ry) <= 1e-15
-            assert a.rz == pytest.approx(-1.0, abs=1e-15)
+            ax, ay, az = tls.jcm_bloch_components(random_bloch(rng), math.pi / 2, float(rng.uniform(0, 9)))
+            assert abs(ax) <= 1e-15 and abs(ay) <= 1e-15
+            assert az == pytest.approx(-1.0, abs=1e-15)
 
     def test_hand_value(self):
-        a = tls.jcm_bloch(TILTED, math.pi / 4, math.pi / 2)
-        assert a.rx == pytest.approx(-0.5 * math.sqrt(0.5), abs=1e-15)
-        assert a.ry == pytest.approx(0.5 * math.sqrt(0.5), abs=1e-15)
-        assert a.rz == pytest.approx(-0.25, abs=1e-15)
+        ax, ay, az = tls.jcm_bloch_components(TILTED, math.pi / 4, math.pi / 2)
+        assert ax == pytest.approx(-0.5 * math.sqrt(0.5), abs=1e-15)
+        assert ay == pytest.approx(0.5 * math.sqrt(0.5), abs=1e-15)
+        assert az == pytest.approx(-0.25, abs=1e-15)
 
     def test_consistent_with_state_matrix(self, rng):
         for _ in range(20):
             r = random_bloch(rng)
             phi = float(rng.uniform(0.0, math.pi / 2))
             wt = float(rng.uniform(0.0, 7.0))
-            lhs = bloch_density_matrix(tls.jcm_bloch(r, phi, wt))
+            lhs = bloch_density_matrix(BlochVector(*tls.jcm_bloch_components(r, phi, wt)))
             rhs = tls.jcm_thermal_components(r, ZERO_TEMPERATURE, phi, wt)
             assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
     def test_norm_never_grows(self, rng):
         for _ in range(30):
             r = random_bloch(rng)
-            a = tls.jcm_bloch(r, float(rng.uniform(0, math.pi)), float(rng.uniform(0, 9)))
-            assert a.norm_sq() <= 1.0 + 1e-12
+            a = tls.jcm_bloch_components(r, float(rng.uniform(0, math.pi)), float(rng.uniform(0, 9)))
+            assert sum(x * x for x in a) <= 1.0 + 1e-12
 
 
 class TestJcmTraceDistance:
@@ -274,3 +274,21 @@ def test_no_crossing_error_reachable():
     # arccos argument above 1
     with pytest.raises((NoCrossingError, StateError)):
         tls.crossing_tau_cavity(1.5)
+
+
+class TestBathThermal:
+    def test_weights_bit_equal_to_direct_formulas_below_overflow(self, rng):
+        for b in [1e-3, 0.1, 1.0, 10.0, 100.0, 700.0, 709.0, *rng.uniform(0.0, 709.0, 200)]:
+            bath = BathThermal(float(b))
+            assert bath.p_excited == 1.0 / (1.0 + math.exp(b))
+            assert bath.nbar == 1.0 / math.expm1(b)
+
+    def test_zero_temperature_weights(self):
+        assert (ZERO_TEMPERATURE.p_excited, ZERO_TEMPERATURE.p_ground, ZERO_TEMPERATURE.nbar) == (0.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("beta", [710.0, 1e6])
+    def test_weights_finite_past_overflow(self, beta):
+        bath = BathThermal(beta)
+        for value in (bath.p_excited, bath.nbar):
+            assert 0.0 <= value <= 1e-300
+        assert bath.p_ground == 1.0
