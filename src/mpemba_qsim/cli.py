@@ -75,9 +75,12 @@ def _parse_tol_overrides(token: str) -> dict[str, float]:
         if name not in verify.DEFAULT_TOLERANCES:
             raise argparse.ArgumentTypeError(f"unknown suite {name!r} in tolerance override {item!r}")
         try:
-            overrides[name] = float(value)
+            tol = float(value)
         except ValueError:
             raise argparse.ArgumentTypeError(f"bad tolerance override {item!r} (expected suite=value)")
+        if not (math.isfinite(tol) and tol > 0.0):
+            raise argparse.ArgumentTypeError(f"tolerance override {item!r} must be finite and > 0")
+        overrides[name] = tol
     return overrides
 
 
@@ -97,14 +100,18 @@ def _write_json(path: Path, body: dict) -> None:
         fh.write("\n")
 
 
-def _check_outputs(out: str, traj_out: str | None) -> None:
-    """Reject, before any work is done, outputs that coincide or lie in a missing directory."""
-    named = [("--out", out), ("its sidecar", Path(out).with_suffix(".json")), ("--traj-out", traj_out)]
+def _check_outputs(*named: tuple[str, str | Path | None]) -> None:
+    """Reject, before any work, outputs that coincide, are directories or lie in a missing directory.
+
+    Each output is a (name, path) pair; a None path is skipped.
+    """
     seen: dict[Path, str] = {}
     for name, path in ((name, Path(path)) for name, path in named if path):
         full = path.resolve()
         if full in seen:
             raise ValueError(f"{name} {path} is the same file as {seen[full]}")
+        if full.is_dir():
+            raise ValueError(f"{name} {path} is a directory")
         if not full.parent.is_dir():
             raise ValueError(f"{name} {path}: directory {full.parent} does not exist")
         seen[full] = name
@@ -144,7 +151,7 @@ def _state_label(state) -> str:
 def cmd_oscillator(args) -> int:
     if args.states is None:
         args.states = [oscillator.Thermal(3.0), oscillator.Coherent(1.0), oscillator.Fock(1)]
-    _check_outputs(args.out, None)
+    _check_outputs(("--out", args.out), ("its sidecar", Path(args.out).with_suffix(".json")))
     schedule = _SCHEDULES[args.schedule](args.gamma)
     grid = time_grid(schedule, args.steps, args.tmax)
     tau = args.gamma * grid
@@ -194,7 +201,8 @@ def cmd_tls(args) -> int:
         raise ValueError("--traj-out is only available for --model jcm")
     if not math.isfinite(args.omega_t0):
         raise ValueError(f"--omega-t0 must be finite, got {args.omega_t0}")
-    _check_outputs(args.out, args.traj_out)
+    sidecar = Path(args.out).with_suffix(".json")
+    _check_outputs(("--out", args.out), ("its sidecar", sidecar), ("--traj-out", args.traj_out))
 
     grid = time_grid(schedule, args.steps, args.tmax)
     tau = tau_scale * grid
@@ -228,6 +236,7 @@ def cmd_tls(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _check_outputs(("--out", args.out))
     report = verify.run_all(dim=args.dim, seed=args.seed, tol_overrides=args.tol_overrides)
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.out:

@@ -234,15 +234,16 @@ def _fock_hs_distance(n_fock: int, cos2: np.ndarray) -> np.ndarray:
         log_c = np.log(c[interior])
         log_s = np.log1p(-c[interior])
         total = np.zeros_like(log_c)
+        rest = np.zeros_like(log_c)
         squares = np.zeros_like(log_c)
         for k in range(n_fock + 1):
             log_binom = math.lgamma(n_fock + 1) - math.lgamma(k + 1) - math.lgamma(n_fock - k + 1)
             term = np.exp(log_binom + k * log_c + (n_fock - k) * log_s)
             total += term
-            if k == 0:
-                p0 = term
-            else:
+            if k > 0:
+                rest += term
                 squares += term * term
-        # normalizing by the summed terms kills ~1e-16 drift; the exact sum is 1
-        out[interior] = np.sqrt(squares / total**2 + (1.0 - p0 / total) ** 2)
+        # normalizing by the summed terms kills ~1e-16 drift; the exact sum is 1.
+        # 1 - p_0 is summed as rest, since 1.0 - p0 / total cancels at small cos2.
+        out[interior] = np.sqrt(squares / total**2 + (rest / total) ** 2)
     return out.reshape(np.shape(cos2))

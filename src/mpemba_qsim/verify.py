@@ -89,7 +89,7 @@ def suite_oscillator_state(name, dim, seed, tol):
     def dev(param, tau):
         cos2 = math.exp(-tau)
         closed = oscillator.evolve_closed_form(family(param), cos2, 0.0, dim)
-        brute = oracle.oscillator_oracle(family(param), 0.0, 0.0, math.acos(math.sqrt(cos2)), dim)
+        brute = oracle.oscillator_oracle(family(param), 0.0, math.acos(math.sqrt(cos2)), dim)
         return np.max(np.abs(closed - brute))
 
     cases = [(param, tau) for param in params for tau in _TAUS_11]
@@ -226,7 +226,7 @@ def suite_propagator_unitarity(name, dim, seed, tol):
             keep = [i for i in range(2 * n) if i != n - 1]  # drop the edge row/col
             sub = u[np.ix_(keep, keep)]
             return np.max(np.abs(sub @ sub.conj().T - np.eye(len(keep))))
-        u = oracle.oscillator_propagator(0.3, 0.8, n, n)
+        u = oracle.oscillator_propagator(0.3, 0.8, n)
         return np.max(np.abs(u @ u.conj().T - np.eye(n * n)))
 
     cases = [("random", n) for n in (2, 6, 16, 32)]

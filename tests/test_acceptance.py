@@ -91,7 +91,7 @@ def test_criterion_04_oscillator_closed_vs_oracle():
                     cos2 = math.exp(-tau)
                     kappa = math.acos(math.sqrt(cos2))
                     closed = oscillator.evolve_closed_form(state, cos2, 0.0, 40)
-                    brute = oracle.oscillator_oracle(state, 0.0, 0.0, kappa, 40)
+                    brute = oracle.oscillator_oracle(state, 0.0, kappa, 40)
                     worst = max(worst, float(np.max(np.abs(closed - brute))))
             ok = check(4, f"oscillator {name}: max deviation {worst:.3e} <= {tol:g}", worst <= tol) and ok
     elapsed = time.perf_counter() - start
@@ -207,7 +207,7 @@ def test_criterion_07_hs_number_monotonicity():
     ground = oscillator.ground_state(40)
     brute = np.array([
         metrics.hs_distance(
-            oracle.oscillator_oracle(Fock(3), 0.0, 0.0, math.acos(math.sqrt(math.exp(-t))), 40),
+            oracle.oscillator_oracle(Fock(3), 0.0, math.acos(math.sqrt(math.exp(-t))), 40),
             ground,
         )
         for t in TAUS_11
@@ -279,7 +279,7 @@ def test_criterion_09_property_suites():
         m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         u = linalg.propagator((m + m.conj().T) / 2)
         worst_u = max(worst_u, float(np.max(np.abs(u @ u.conj().T - np.eye(n)))))
-    u = oracle.oscillator_propagator(0.4, 0.9, 6, 6)
+    u = oracle.oscillator_propagator(0.4, 0.9, 6)
     worst_u = max(worst_u, float(np.max(np.abs(u @ u.conj().T - np.eye(36)))))
     dim = 12
     closed = tls.jcm_propagator_closed(1.1, dim)
@@ -295,7 +295,7 @@ def test_criterion_09_property_suites():
         for state in (Thermal(3.0), Coherent(2.0), Fock(5)):
             for tau in TAUS_11:
                 closed = oscillator.evolve_closed_form(state, math.exp(-tau), 0.0, 40)
-                brute = oracle.oscillator_oracle(state, 0.0, 0.0, math.acos(math.sqrt(math.exp(-tau))), 40)
+                brute = oracle.oscillator_oracle(state, 0.0, math.acos(math.sqrt(math.exp(-tau))), 40)
                 for rho in (closed, brute):
                     try:
                         linalg.validate_density_matrix(rho)

@@ -274,10 +274,23 @@ class TestVerifyCommand:
         ["tls", "--traj-out", "{tmp}/x.csv"],
         ["tls", "--traj-out", "{tmp}/./x.json"],
         ["tls", "--traj-out", "{tmp}/missing/t.csv"],
+        ["verify", "--tol-overrides", "oscillator_thermal=inf"],
+        ["verify", "--tol-overrides", "oscillator_thermal=nan"],
+        ["verify", "--tol-overrides", "oscillator_thermal=0"],
+        ["verify", "--tol-overrides", "oscillator_thermal=-1"],
+        ["verify", "--out", "{tmp}/missing/r.json"],
+        ["verify", "--out", "{tmp}"],
+        ["oscillator", "--out", "{tmp}"],
+        ["tls", "--out", "{tmp}"],
+        ["tls", "--traj-out", "{tmp}"],
     ],
     ids=" ".join,
 )
-def test_usage_error_exits_2_with_one_line(tmp_path, capsys, argv):
+def test_usage_error_exits_2_with_one_line(tmp_path, capsys, monkeypatch, argv):
+    def no_suite_may_run(**kwargs):
+        raise AssertionError("verify ran its suites before rejecting the input")
+
+    monkeypatch.setattr(verify, "run_all", no_suite_may_run)
     argv = [a.format(tmp=tmp_path) for a in argv]
     if "--out" not in argv:
         argv += ["--out", str(tmp_path / "x.csv")]
@@ -288,6 +301,16 @@ def test_usage_error_exits_2_with_one_line(tmp_path, capsys, argv):
     assert "Traceback" not in err
     assert [line for line in err.splitlines() if "error:" in line] == [err.splitlines()[-1]]
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["oscillator", "tls"])
+def test_sidecar_that_is_a_directory_writes_nothing(tmp_path, capsys, command):
+    (tmp_path / "a.json").mkdir()
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--out", str(tmp_path / "a.csv")])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith("is a directory")
+    assert [p.name for p in tmp_path.iterdir()] == ["a.json"]
 
 
 class TestWriteCsv:

@@ -235,3 +235,21 @@ def test_fock_hs_slope_sign_at_40_digits():
         slope_12 = mp.diff(lambda c: d2(12, c), mp.mpf("0.447"))
     assert slope_11 > 0.017
     assert -8.1e-4 < slope_12 < -7.9e-4
+
+
+def test_fock_hs_distance_keeps_its_digits_at_small_cos2():
+    """Relative error against the binomial law at 400 digits, down to cos2 = 1e-150.
+
+    1 - p_0 is of order n * cos2, so forming it as a float difference loses
+    it entirely below cos2 ~ 1e-17.  Below ~1e-154 cos2**2 underflows.
+    """
+    mp = pytest.importorskip("mpmath")
+    cos2 = np.concatenate([10.0 ** -np.arange(150.0, 0.0, -7.0), [0.3, 0.5, 0.9, 1.0 - 1e-9]])
+    for n in (1, 3, 20, 171):
+        got = oscillator.hs_distance_closed(Fock(n), cos2)
+        with mp.workdps(400):
+            for c, value in zip(cos2, got):
+                c = mp.mpf(float(c))
+                p = [mp.binomial(n, k) * c**k * (1 - c) ** (n - k) for k in range(n + 1)]
+                exact = mp.sqrt(sum(pk**2 for pk in p[1:]) + (1 - p[0]) ** 2)
+                assert abs(value - exact) <= 1e-13 * exact, (n, float(c))

@@ -1,3 +1,4 @@
+import cmath
 import math
 import warnings
 
@@ -23,11 +24,11 @@ def kappa_of(cos2):
 class TestOscillatorOracle:
     def test_vacuum_fixed_point(self):
         for kappa in (0.0, 0.7, math.pi / 2):
-            rho = oracle.oscillator_oracle(Fock(0), 0.0, 0.0, kappa, 10)
+            rho = oracle.oscillator_oracle(Fock(0), 0.0, kappa, 10)
             assert np.max(np.abs(rho - oscillator.ground_state(10))) <= 1e-14
 
     def test_single_quantum_splits_evenly(self):
-        rho = oracle.oscillator_oracle(Fock(1), 0.0, 0.0, kappa_of(0.5), 8)
+        rho = oracle.oscillator_oracle(Fock(1), 0.0, kappa_of(0.5), 8)
         diag = np.diag(rho).real
         assert diag[0] == pytest.approx(0.5, abs=1e-12)
         assert diag[1] == pytest.approx(0.5, abs=1e-12)
@@ -35,14 +36,14 @@ class TestOscillatorOracle:
 
     def test_coherent_matches_closed_form(self):
         cos2 = math.exp(-1.0)
-        got = oracle.oscillator_oracle(Coherent(1.0), 0.0, 0.0, kappa_of(cos2), 40)
+        got = oracle.oscillator_oracle(Coherent(1.0), 0.0, kappa_of(cos2), 40)
         expected = oscillator.evolve_closed_form(Coherent(1.0), cos2, 0.0, 40)
         assert np.max(np.abs(got - expected)) <= 1e-8
 
     def test_coherent_free_phase_matches_closed_form(self):
         cos2 = 0.42
         for w0t in (0.0, 0.9, 2.5):
-            got = oracle.oscillator_oracle(Coherent(1.2), 0.0, w0t, kappa_of(cos2), 30)
+            got = oracle.oscillator_oracle(Coherent(1.2), w0t, kappa_of(cos2), 30)
             expected = oscillator.evolve_closed_form(Coherent(1.2), cos2, w0t, 30)
             assert np.max(np.abs(got - expected)) <= 1e-8
 
@@ -51,40 +52,34 @@ class TestOscillatorOracle:
             warnings.simplefilter("ignore", TruncationWarning)
             for tau in (0.0, 0.6, 2.4):
                 cos2 = math.exp(-tau)
-                got = oracle.oscillator_oracle(Thermal(3.0), 0.0, 0.0, kappa_of(cos2), 40)
+                got = oracle.oscillator_oracle(Thermal(3.0), 0.0, kappa_of(cos2), 40)
                 expected = oscillator.evolve_closed_form(Thermal(3.0), cos2, 0.0, 40)
                 assert np.max(np.abs(got - expected)) <= 1e-6
 
     def test_matches_dense_propagator_route(self):
-        # the sector engine must reproduce the one-shot dense exponential
-        levels = 10
-        u = oracle.oscillator_propagator(0.6, 1.1, levels, levels)
-        for n in (0, 3, 7):
-            psi0 = np.kron(np.eye(levels)[n], np.eye(levels)[0])
-            psi = u @ psi0
-            dense = linalg.partial_trace_b(np.outer(psi, psi.conj()), levels, levels)
-            got = oracle.oscillator_oracle(Fock(n), 0.0, 0.6, 1.1, levels)
-            assert np.max(np.abs(dense - got)) <= 1e-12
-
-    def test_matches_dense_route_with_thermal_bath(self):
-        # mixed system and bath: build the full composite density matrix
-        # densely, using the same internal level counts as the oracle
+        # the sector engine must reproduce the one-shot dense exponential on
+        # both state paths: Fock and padded Thermal (mixed), Coherent (pure)
         dim = 6
-        mean_sys, nbar_b = 0.3, 0.2
-        sys_levels = oracle._levels_for_geometric(mean_sys, dim, oracle.PAD_TAIL_TOL, dim + 64)
-        bath_levels = oracle._levels_for_geometric(nbar_b, 2, oracle.BATH_TAIL_TOL, dim + 64)
-        total = sys_levels + bath_levels - 1
-        u = oracle.oscillator_propagator(0.3, 0.8, total, total)
-        rho_sys = np.zeros((total, total), dtype=complex)
-        rho_sys[:sys_levels, :sys_levels] = np.diag(oracle._geometric_weights(mean_sys, sys_levels))
-        rho_bath = np.zeros((total, total), dtype=complex)
-        rho_bath[:bath_levels, :bath_levels] = np.diag(oracle._geometric_weights(nbar_b, bath_levels))
-        rho = u @ linalg.tensor(rho_sys, rho_bath) @ u.conj().T
-        dense = linalg.partial_trace_b(rho, total, total)[:dim, :dim]
-        dense /= np.trace(dense).real
-        with pytest.warns(TruncationWarning):
-            got = oracle.oscillator_oracle(Thermal(mean_sys), nbar_b, 0.3, 0.8, dim)
-        assert np.max(np.abs(dense - got)) <= 1e-12
+        cap = dim + oracle.PAD_CAP
+        thermal = oracle._levels_for_geometric(0.3, dim, oracle.PAD_TAIL_TOL, cap)
+        alpha = 0.7 - 0.4j
+        coherent = oracle._levels_for_poisson(abs(alpha) ** 2, dim, oracle.PAD_TAIL_TOL, cap)
+        cases = [(Fock(n), np.diag(np.eye(dim)[n]), 1.1) for n in (0, 3, 5)]
+        cases.append((Thermal(0.3), np.diag(oracle._geometric_weights(0.3, thermal)), 0.8))
+        amps = [alpha**n / math.sqrt(math.factorial(n)) for n in range(coherent)]
+        vec = np.array(amps) / np.linalg.norm(amps)
+        cases.append((Coherent(alpha), np.outer(vec, vec.conj()), 0.8))
+        for state, rho_sys, kappa in cases:
+            levels = len(rho_sys)
+            u = oracle.oscillator_propagator(0.6, kappa, levels)
+            vacuum = np.diag(np.eye(levels)[0]).astype(complex)
+            rho = u @ linalg.tensor(rho_sys, vacuum) @ u.conj().T
+            dense = linalg.partial_trace_b(rho, levels, levels)[:dim, :dim]
+            dense /= np.trace(dense).real
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", TruncationWarning)
+                got = oracle.oscillator_oracle(state, 0.6, kappa, dim)
+            assert np.max(np.abs(dense - got)) <= 1e-12
 
     def test_excitation_conservation_before_partial_trace(self):
         # <n_a> + <n_b> in the composite state is kappa-independent
@@ -95,7 +90,7 @@ class TestOscillatorOracle:
         psi0 = np.kron(np.eye(levels)[3], np.eye(levels)[0])
         values = []
         for kappa in np.linspace(0.0, math.pi, 7):
-            u = oracle.oscillator_propagator(0.0, float(kappa), levels, levels)
+            u = oracle.oscillator_propagator(0.0, float(kappa), levels)
             psi = u @ psi0
             values.append(float(np.real(psi.conj() @ n_tot @ psi)))
         assert np.max(np.abs(np.array(values) - 3.0)) <= 1e-10
@@ -104,28 +99,38 @@ class TestOscillatorOracle:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TruncationWarning)
             for state in (Thermal(1.0), Coherent(1.0), Fock(2)):
-                a = oracle.oscillator_oracle(state, 0.0, 0.0, 0.8, 40)
-                b = oracle.oscillator_oracle(state, 0.0, 0.0, 0.8, 50)
+                a = oracle.oscillator_oracle(state, 0.0, 0.8, 40)
+                b = oracle.oscillator_oracle(state, 0.0, 0.8, 50)
                 assert np.max(np.abs(a - b[:40, :40])) <= 1e-9
 
     def test_outputs_are_valid_states(self):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TruncationWarning)
             for state in (Thermal(3.0), Coherent(1.5), Fock(4)):
-                for nbar_b in (0.0, 0.5):
-                    rho = oracle.oscillator_oracle(state, nbar_b, 0.4, 0.9, 40)
-                    linalg.validate_density_matrix(rho)
+                rho = oracle.oscillator_oracle(state, 0.4, 0.9, 40)
+                linalg.validate_density_matrix(rho)
 
-    def test_finite_bath_heats_the_ground_state(self):
-        # a ground-state system picks up population from a warm bath
-        with pytest.warns(TruncationWarning):
-            rho = oracle.oscillator_oracle(Fock(0), 1.0, 0.0, math.pi / 2, 30)
-        mean = float(np.sum(np.arange(30) * np.diag(rho).real))
-        assert mean == pytest.approx(1.0, rel=1e-6)
+    @SETTINGS
+    @given(
+        state=st.one_of(
+            st.floats(0.0, 1.0).map(Thermal),
+            st.builds(cmath.rect, st.floats(0.0, 2.0), st.floats(0.0, 2.0 * math.pi)).map(Coherent),
+            st.integers(0, 10).map(Fock),
+        ),
+        cos2=st.floats(0.0, 1.0),
+        w0t=st.floats(0.0, 2.0 * math.pi),
+    )
+    def test_matches_closed_form_by_property(self, state, cos2, w0t):
+        # The largest deviation over 4,000 random points was 8.1e-13, from
+        # Thermal(1): the oracle drops the initial tail above level 40, mass
+        # (1/2)**40 = 9.1e-13.  Coherent reached 1.5e-14 and Fock 1.2e-15.
+        got = oracle.oscillator_oracle(state, w0t, kappa_of(cos2), 40)
+        expected = oscillator.evolve_closed_form(state, cos2, w0t, 40)
+        assert np.max(np.abs(got - expected)) <= 2e-12
 
     def test_fock_level_needs_room(self):
         with pytest.raises(DimensionError):
-            oracle.oscillator_oracle(Fock(10), 0.0, 0.0, 0.5, 10)
+            oracle.oscillator_oracle(Fock(10), 0.0, 0.5, 10)
 
 
 class TestTlsPairOracle:
