@@ -67,23 +67,6 @@ def _parse_dim(token: str) -> int:
     return dim
 
 
-def _parse_tol_overrides(token: str) -> dict[str, float]:
-    overrides = {}
-    for item in token.split(",") if token else []:
-        name, _, value = item.partition("=")
-        name = name.strip()
-        if name not in verify.DEFAULT_TOLERANCES:
-            raise argparse.ArgumentTypeError(f"unknown suite {name!r} in tolerance override {item!r}")
-        try:
-            tol = float(value)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"bad tolerance override {item!r} (expected suite=value)")
-        if not (math.isfinite(tol) and tol > 0.0):
-            raise argparse.ArgumentTypeError(f"tolerance override {item!r} must be finite and > 0")
-        overrides[name] = tol
-    return overrides
-
-
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
     rows = max(1, CSV_CHUNK_CELLS // len(columns))
     row_format = ",".join(["%.17g"] * len(columns)) + "\n"
@@ -139,12 +122,19 @@ def _emit_curves(out: Path, tau, labels, columns, extra_header, extra_columns, m
     _write_json(out.with_suffix(".json"), {**meta, "tool": "mpemba-qsim", "version": __version__, "pairs": pairs})
 
 
+def _num(x: float) -> str:
+    """Label spelling of x: %g when that parses back to x, else repr, so distinct inputs get distinct labels."""
+    short = f"{x:g}"
+    return short if float(short) == x else repr(float(x))
+
+
 def _state_label(state) -> str:
     if isinstance(state, oscillator.Thermal):
-        return f"thermal:{state.nbar:g}"
+        return f"thermal:{_num(state.nbar)}"
     if isinstance(state, oscillator.Coherent):
         a = state.alpha
-        return f"coherent:{a.real:g}" if a.imag == 0 else f"coherent:{a:g}"
+        imag = "" if a.imag == 0 else f"{'+' if a.imag > 0 else ''}{_num(a.imag)}j"
+        return f"coherent:{_num(a.real)}{imag}"
     return f"number:{state.n}"
 
 
@@ -197,8 +187,8 @@ def cmd_tls(args) -> int:
     else:
         schedule = _SCHEDULES[args.schedule](args.t0)
         tau_scale = 1.0 / args.t0
-    if args.traj_out and args.model != "jcm":
-        raise ValueError("--traj-out is only available for --model jcm")
+    if args.traj_out and (args.model != "jcm" or not args.beta.is_zero_temperature):
+        raise ValueError("--traj-out is only available for --model jcm at --beta inf")
     if not math.isfinite(args.omega_t0):
         raise ValueError(f"--omega-t0 must be finite, got {args.omega_t0}")
     sidecar = Path(args.out).with_suffix(".json")
@@ -212,7 +202,7 @@ def cmd_tls(args) -> int:
     columns, energies = zip(*(_tls_columns(args, args.beta, r, phase, cos2) for r in args.bloch))
 
     # semicolons keep the labels comma-free for naive CSV consumers
-    labels = [f"bloch({r.rx:g};{r.ry:g};{r.rz:g})" for r in args.bloch]
+    labels = [f"bloch({_num(r.rx)};{_num(r.ry)};{_num(r.rz)})" for r in args.bloch]
     energy_labels, energies = ([f"{lbl}:energy" for lbl in labels], energies) if args.model == "jcm" else ([], [])
     _emit_curves(Path(args.out), tau, labels, columns, energy_labels, energies, {
         "command": "tls",
@@ -237,7 +227,7 @@ def cmd_tls(args) -> int:
 
 def cmd_verify(args) -> int:
     _check_outputs(("--out", args.out))
-    report = verify.run_all(dim=args.dim, seed=args.seed, tol_overrides=args.tol_overrides)
+    report = verify.run_all(dim=args.dim, seed=args.seed)
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.out:
         Path(args.out).write_text(text, newline="\n")
@@ -299,14 +289,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_tls.add_argument("--tmax", type=float, default=None)
     p_tls.add_argument("--steps", type=int, default=1001)
     p_tls.add_argument("--out", required=True)
-    p_tls.add_argument("--traj-out", default=None, help="also write Bloch trajectories (jcm only)")
+    p_tls.add_argument("--traj-out", default=None, help="also write Bloch trajectories (jcm at --beta inf only)")
     p_tls.add_argument("--omega-t0", type=float, default=20.0, help="scaled level splitting for trajectories")
     p_tls.set_defaults(func=cmd_tls)
 
     p_ver = sub.add_parser("verify", help="run the closed-form-vs-oracle verification suites")
     p_ver.add_argument("--dim", type=_parse_dim, default=40)
     p_ver.add_argument("--seed", type=int, default=2024)
-    p_ver.add_argument("--tol-overrides", type=_parse_tol_overrides, default="", help="comma-separated suite=tol pairs")
     p_ver.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
     p_ver.set_defaults(func=cmd_verify)
     return parser

@@ -209,7 +209,7 @@ def hs_distance_closed(state: InitialState, cos2):
     c = check_cos2(cos2)
     if isinstance(state, Thermal):
         m = state.nbar * c
-        ratio = np.sqrt((2.0 * m + 2.0) / (2.0 * m + 1.0))
+        ratio = np.sqrt((m + 1.0) / (m + 0.5))  # = (2m + 2)/(2m + 1) without overflowing 2m
         return _scalar_or_array(ratio * trace_distance_closed(state, c))
     if isinstance(state, Coherent):
         return _scalar_or_array(np.sqrt(2.0 * -np.expm1(-abs(state.alpha) ** 2 * c)))

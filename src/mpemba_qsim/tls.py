@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .errors import DimensionError, NoCrossingError, StateError, TruncationError
+from .errors import NoCrossingError, StateError, TruncationError
 from .schedules import check_cos2
 from .states import BathThermal, BlochVector
 
@@ -58,24 +58,6 @@ def tls_pair_evolve(
 ) -> np.ndarray:
     """Reduced 2x2 state of :func:`tls_pair_components` at one exchange phase."""
     return _qubit_matrix(*tls_pair_components(r, bath, float(mu_cos2), omega_t))
-
-
-def jcm_propagator_closed(phi: float, dim: int) -> np.ndarray:
-    """Excitation-exchange propagator of the resonant qubit-boson model.
-
-    2x2 operator-block matrix over a dim-level Fock space: block-diagonal
-    cosines of phi*sqrt(n+1) / phi*sqrt(n), off-diagonal -i sin couplings.
-    Unitary except on the single truncation-edge row/column |e, dim-1>.
-    """
-    if dim < 2:
-        raise DimensionError(f"Fock truncation needs dim >= 2, got {dim}")
-    n = np.arange(dim, dtype=float)
-    tl = np.diag(np.cos(phi * np.sqrt(n + 1.0)))
-    br = np.diag(np.cos(phi * np.sqrt(n)))
-    sin_n = np.sin(phi * np.sqrt(np.arange(1.0, dim)))
-    tr = np.diag(-1j * sin_n, k=1)
-    bl = np.diag(-1j * sin_n, k=-1)
-    return np.block([[tl, tr], [bl, br]]).astype(complex)
 
 
 def _bath_weights(bath: BathThermal) -> np.ndarray:

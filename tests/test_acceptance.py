@@ -281,11 +281,8 @@ def test_criterion_09_property_suites():
         worst_u = max(worst_u, float(np.max(np.abs(u @ u.conj().T - np.eye(n)))))
     u = oracle.oscillator_propagator(0.4, 0.9, 6)
     worst_u = max(worst_u, float(np.max(np.abs(u @ u.conj().T - np.eye(36)))))
-    dim = 12
-    closed = tls.jcm_propagator_closed(1.1, dim)
-    keep = [i for i in range(2 * dim) if i != dim - 1]
-    sub = closed[np.ix_(keep, keep)]
-    worst_u = max(worst_u, float(np.max(np.abs(sub @ sub.conj().T - np.eye(len(keep))))))
+    blocks = oracle._jcm_sector_propagators(1.1, 12)[1:12]  # the coupled 2x2 blocks
+    worst_u = max(worst_u, float(np.max(np.abs(blocks @ blocks.conj().transpose(0, 2, 1) - np.eye(2)))))
     ok = check(9, f"propagator unitarity: max deviation {worst_u:.3e} <= 1e-10",
                worst_u <= 1e-10) and ok
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from mpemba_qsim import cli, verify
+from mpemba_qsim import cli, oscillator, verify
 
 
 def read_csv(path):
@@ -61,6 +61,30 @@ class TestOscillatorCommand:
         cli.main(args + [str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
         assert out1.with_suffix(".json").read_bytes() == out2.with_suffix(".json").read_bytes()
+
+    def test_hs_thermal_at_huge_nbar_is_finite(self, tmp_path):
+        out = tmp_path / "hot.csv"
+        rc = cli.main(["oscillator", "--metric", "hs", "--states", "thermal:1e308",
+                       "--steps", "101", "--out", str(out)])
+        assert rc == 0
+        header, data = read_csv(out)
+        assert header == ["tau", "thermal:1e+308"] and np.all(np.isfinite(data))
+
+    def test_labels_tell_close_inputs_apart(self, tmp_path):
+        out = tmp_path / "close.csv"
+        states = ["coherent:0.1234561", "coherent:0.1234562", "coherent:0.1234562-0.1234563j",
+                  "thermal:0.1234561", "thermal:0.1234562"]
+        assert cli.main(["oscillator", "--states", *states, "--steps", "51", "--out", str(out)]) == 0
+        header, _ = read_csv(out)
+        assert header[1:] == states
+        assert json.loads(out.with_suffix(".json").read_text())["states"] == states
+
+    def test_label_keeps_the_g_spelling_when_exact(self):
+        for alpha in (3.0, 1 + 2j, 1 - 2j, 0.5j, complex(-0.0, 1.0), complex(1.0, -0.0), 1e-20 + 1e300j):
+            old = f"coherent:{alpha.real:g}" if alpha.imag == 0 else f"coherent:{alpha:g}"
+            assert cli._state_label(oscillator.Coherent(alpha)) == old
+        for nbar in (0.0, 0.5, 3.0, 1e-20, 1e300):
+            assert cli._state_label(oscillator.Thermal(nbar)) == f"thermal:{nbar:g}"
 
     def test_unknown_state_spec_is_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -174,6 +198,17 @@ class TestTlsCommand:
         assert body["grid"]["tau_scale"] == tau_scale
         assert body["beta_hbar_omega"] == ("inf" if beta == "inf" else float(beta))
 
+    def test_labels_tell_close_inputs_apart(self, tmp_path):
+        out = tmp_path / "close.csv"
+        rc = cli.main(["tls", "--bloch", "0.1234561,0,0", "--bloch", "0.1234562,0,0",
+                       "--steps", "51", "--out", str(out)])
+        assert rc == 0
+        labels = ["bloch(0.1234561;0;0)", "bloch(0.1234562;0;0)"]
+        header, _ = read_csv(out)
+        assert header[1:] == [*labels, *(f"{lbl}:energy" for lbl in labels)]
+        body = json.loads(out.with_suffix(".json").read_text())
+        assert body["states"] == labels and body["pairs"][0]["pair"] == labels
+
     def test_traj_rejected_for_pair_model(self, tmp_path):
         with pytest.raises(SystemExit):
             cli.main(
@@ -193,6 +228,9 @@ class TestVerifyCommand:
         assert list(verify._SUITES) == list(verify.DEFAULT_TOLERANCES) == names
         cases = [s["cases"] for s in report["suites"]]
         assert cases == [33, 33, 33, 33, 200, 100, 100, 33, 1, 6, 100, 3]
+        tolerances = [s["tolerance"] for s in report["suites"]]
+        assert tolerances == [1e-6, 1e-8, 1e-8, 1e-9, 1e-8, 1e-8, 1e-8, 1e-12, 1e-8, 1e-10, 1e-12, 5e-3]
+        assert "np." not in (tmp_path / "report.json").read_text()
 
     def test_seeded_runs_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -234,16 +272,12 @@ class TestVerifyCommand:
         number = next(s for s in report["suites"] if s["name"] == "oscillator_number")
         assert not number["passed"]
         assert any("needs dim > 5" in w for w in number["warnings"])
-        assert "FAILED oscillator_number" in capsys.readouterr().err
-
-    def test_tolerance_overrides(self, tmp_path):
-        rc = cli.main(
-            ["verify", "--tol-overrides", "oscillator_thermal=1e-15",
-             "--out", str(tmp_path / "r.json")]
-        )
-        assert rc == 1
+        err = capsys.readouterr().err
+        assert "FAILED oscillator_number" in err
+        assert "np." not in err and "np." not in (tmp_path / "r.json").read_text()
 
     def test_unknown_override_rejected(self, tmp_path):
+        # --tol-overrides is gone: every suite runs at its DEFAULT_TOLERANCES entry
         with pytest.raises(SystemExit):
             cli.main(["verify", "--tol-overrides", "nope=1e-3", "--out", str(tmp_path / "r.json")])
 
@@ -264,6 +298,8 @@ class TestVerifyCommand:
         ["tls", "--bloch", "nan,0,0"],
         ["tls", "--model", "pair", "--traj-out", "{tmp}/t.csv"],
         ["tls", "--omega-t0", "nan", "--traj-out", "{tmp}/t.csv"],
+        ["tls", "--beta", "0.5", "--traj-out", "{tmp}/t.csv"],
+        # the removed --tol-overrides flag is refused in every spelling
         ["verify", "--tol-overrides", "nope=1e-3"],
         ["verify", "--tol-overrides", "oscillator_thermal"],
         ["verify", "--tol-overrides", "oscillator_thermal=abc"],

@@ -248,6 +248,18 @@ class TestJcmOracle:
             with pytest.raises(DimensionError):
                 oracle.jcm_oracle(EXCITED, ZERO_TEMPERATURE, 0.5, dim=dim)
 
+    def test_zero_phase_identity(self):
+        dim = 6
+        sectors = oracle._jcm_sector_propagators(0.0, dim)
+        assert np.max(np.abs(sectors[1:dim] - np.eye(2))) == 0.0
+        # the edge sectors hold only |g, 0> and |e, dim-1>
+        assert sectors[0].tolist() == [[0, 0], [0, 1]] and sectors[dim].tolist() == [[1, 0], [0, 0]]
+
+    def test_single_excitation_swap(self):
+        # sector 1 spans {|e,0>, |g,1>}: |e,0> -> -i|g,1> at phi = pi/2
+        block = oracle._jcm_sector_propagators(math.pi / 2, 5)[1]
+        assert np.max(np.abs(block - np.array([[0.0, -1j], [-1j, 0.0]]))) <= 1e-12
+
     def test_infinite_temperature_rejected(self):
         with pytest.raises(StateError):
             oracle.jcm_oracle(EXCITED, BathThermal(0.0), 0.5, dim=10)

@@ -137,6 +137,15 @@ class TestHsDistanceClosed:
         )
         assert abs(ratio - math.sqrt(2.0)) <= 1e-8
 
+    def test_thermal_ratio_bit_identical_to_doubled_form(self):
+        # (m + 1)/(m + 0.5) is (2m + 2)/(2m + 1) with top and bottom halved exactly
+        cos2 = np.concatenate([[0.0, 5e-324, 1e-310], np.geomspace(1e-300, 1.0, 4001)])
+        for nbar in (1.0, 3.0, 1e6, 8.9e307):
+            m = nbar * cos2
+            doubled = np.sqrt((2.0 * m + 2.0) / (2.0 * m + 1.0))
+            expected = doubled * oscillator.trace_distance_closed(Thermal(nbar), cos2)
+            assert np.array_equal(oscillator.hs_distance_closed(Thermal(nbar), cos2), expected)
+
     def test_fock1_by_hand(self):
         # single binomial term: sqrt(0.25 + 0.25)
         got = oscillator.hs_distance_closed(Fock(1), 0.5)

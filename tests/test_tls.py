@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mpemba_qsim import linalg, metrics, tls
-from mpemba_qsim.errors import DimensionError, NoCrossingError, StateError, TruncationError
+from mpemba_qsim.errors import NoCrossingError, StateError, TruncationError
 from mpemba_qsim.states import (
     BathThermal,
     BlochVector,
@@ -75,45 +75,6 @@ class TestPairTraceDistance:
             rho = tls.tls_pair_evolve(r, ZERO_TEMPERATURE, mu_cos2, omega_t=0.9)
             expected = metrics.trace_distance(rho, tls.ground_state())
             assert tls.jcm_trace_distance(r, mu_cos2) == pytest.approx(expected, abs=1e-12)
-
-
-class TestJcmPropagatorClosed:
-    def test_zero_phase_identity(self):
-        assert np.max(np.abs(tls.jcm_propagator_closed(0.0, 6) - np.eye(12))) == 0.0
-
-    def test_single_excitation_swap(self):
-        # |e,0> -> -i|g,1> at phi = pi/2
-        dim = 5
-        u = tls.jcm_propagator_closed(math.pi / 2, dim)
-        col = u[:, 0]
-        expected = np.zeros(2 * dim, dtype=complex)
-        expected[dim + 1] = -1j
-        assert np.max(np.abs(col - expected)) <= 1e-12
-
-    def test_unitary_away_from_edge(self):
-        dim = 12
-        u = tls.jcm_propagator_closed(0.9, dim)
-        keep = [i for i in range(2 * dim) if i != dim - 1]
-        sub = u[np.ix_(keep, keep)]
-        assert np.max(np.abs(sub @ sub.conj().T - np.eye(len(keep)))) <= 1e-10
-
-    def test_matches_generator_exponential(self, rng):
-        # oracle: dense exponential of phi*(b sigma+ + b+ sigma-); agreement
-        # away from the truncation-edge state |e, dim-1>
-        dim = 10
-        b = linalg.ladder_lowering(dim)
-        coupling = linalg.tensor(linalg.SIGMA_PLUS, b) + linalg.tensor(
-            linalg.SIGMA_MINUS, b.conj().T
-        )
-        for phi in rng.uniform(0.0, math.pi, size=4):
-            dense = linalg.propagator(phi * coupling)
-            closed = tls.jcm_propagator_closed(phi, dim)
-            keep = [i for i in range(2 * dim) if i != dim - 1]
-            assert np.max(np.abs((dense - closed)[np.ix_(keep, keep)])) <= 1e-9
-
-    def test_dim_too_small(self):
-        with pytest.raises(DimensionError):
-            tls.jcm_propagator_closed(1.0, 1)
 
 
 class TestJcmThermalComponents:
