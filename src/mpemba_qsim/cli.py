@@ -161,15 +161,15 @@ def cmd_oscillator(args) -> int:
     return 0
 
 
-def _tls_columns(args, bath, r, phase, cos2) -> tuple[np.ndarray, np.ndarray | None]:
-    """Distance column of one Bloch vector, and its energy column for jcm."""
+def _tls_columns(args, bath, r, sums, cos2) -> tuple[np.ndarray, np.ndarray | None]:
+    """Distance column of one Bloch vector, and its energy column for jcm from the bath ``sums``."""
     if args.model == "pair":
         if bath.is_zero_temperature:
             # at zero bath temperature the pair obeys the jcm law in mu_cos2
             return tls.jcm_trace_distance(r, cos2), None
         rho_ee, _, rho_eg = tls.tls_pair_components(r, bath, cos2)
         return metrics.traceless_qubit_distance(rho_ee - bath.p_excited, rho_eg), None
-    rho_ee, rho_eg = tls.jcm_thermal_series(r, bath, phase)
+    rho_ee, rho_eg = tls.jcm_thermal_series(r, sums)
     energy = tls.tls_energy(rho_ee)
     if bath.is_zero_temperature:
         return tls.jcm_trace_distance(r, cos2), energy
@@ -187,6 +187,8 @@ def cmd_tls(args) -> int:
     else:
         schedule = _SCHEDULES[args.schedule](args.t0)
         tau_scale = 1.0 / args.t0
+    if not math.isfinite(tau_scale):
+        raise ValueError(f"--t0 {args.t0:g} is too small: 1/t0 overflows")
     if args.traj_out and (args.model != "jcm" or not args.beta.is_zero_temperature):
         raise ValueError("--traj-out is only available for --model jcm at --beta inf")
     if not math.isfinite(args.omega_t0):
@@ -198,8 +200,9 @@ def cmd_tls(args) -> int:
     tau = tau_scale * grid
     cos2 = schedule.cos2(grid)
     phase = schedule.phase(grid)
+    sums = tls.jcm_bath_sums(args.beta, phase) if args.model == "jcm" else None
 
-    columns, energies = zip(*(_tls_columns(args, args.beta, r, phase, cos2) for r in args.bloch))
+    columns, energies = zip(*(_tls_columns(args, args.beta, r, sums, cos2) for r in args.bloch))
 
     # semicolons keep the labels comma-free for naive CSV consumers
     labels = [f"bloch({_num(r.rx)};{_num(r.ry)};{_num(r.rz)})" for r in args.bloch]

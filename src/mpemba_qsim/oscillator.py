@@ -49,8 +49,14 @@ class Coherent:
     alpha: complex
 
     def __post_init__(self) -> None:
-        if not cmath.isfinite(self.alpha):
-            raise StateError(f"coherent amplitude must be finite, got {self.alpha}")
+        try:  # every closed form and the oracle square |alpha|
+            ok = cmath.isfinite(self.alpha) and abs(self.alpha) ** 2 < math.inf
+        except OverflowError:
+            ok = False
+        if not ok:
+            raise StateError(
+                f"coherent amplitude must be finite, with |alpha|^2 in the float range, got {self.alpha}"
+            )
 
 
 @dataclass(frozen=True)

@@ -84,8 +84,8 @@ class Ramp:
             raise ValueError(f"t0 must be finite and > 0, got {self.t0}")
 
     def phase(self, t):
-        t = _check_times(t)
-        return np.where(t <= self.t0, 0.5 * np.pi * (t / self.t0) ** 2, 0.5 * np.pi)
+        t = np.minimum(_check_times(t), self.t0)
+        return 0.5 * np.pi * (t / self.t0) ** 2
 
     def cos2(self, t):
         return np.cos(self.phase(t)) ** 2
@@ -93,7 +93,7 @@ class Ramp:
 
 @dataclass(frozen=True)
 class CavityMode:
-    """Sine-shaped cavity transit of duration t0: phase = (pi/4)(1 - cos(pi t/t0)).
+    """Sine-shaped cavity transit of duration t0: phase = (pi/4)(1 - cos(pi t/t0)), then pi/2.
 
     The coupling turns on and off smoothly, so the phase derivative vanishes
     at t = 0 and t = t0.
@@ -106,12 +106,8 @@ class CavityMode:
             raise ValueError(f"t0 must be finite and > 0, got {self.t0}")
 
     def phase(self, t):
-        t = _check_times(t)
-        return np.where(
-            t <= self.t0,
-            0.25 * np.pi * (1.0 - np.cos(np.pi * t / self.t0)),
-            0.5 * np.pi,
-        )
+        t = np.minimum(_check_times(t), self.t0)
+        return 0.25 * np.pi * (1.0 - np.cos(np.pi * t / self.t0))
 
     def cos2(self, t):
         return np.cos(self.phase(t)) ** 2

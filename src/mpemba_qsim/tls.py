@@ -21,7 +21,7 @@ from .states import BathThermal, BlochVector
 # weight drops below BOLTZMANN_CUT, never more than SERIES_CAP of them.
 BOLTZMANN_CUT = 1e-14
 SERIES_CAP = 4000
-# Phases per block of the thermal series: about this many (phase, level) cells.
+# Distinct phases per block of the thermal series: about this many (phase, level) cells.
 SERIES_CHUNK_CELLS = 1 << 16
 
 
@@ -81,42 +81,49 @@ def _bath_weights(bath: BathThermal) -> np.ndarray:
     return np.exp(-b * n) * (1.0 - math.exp(-b))
 
 
-def jcm_thermal_series(r: BlochVector, bath: BathThermal, phi, omega_t=0.0):
-    """Excited population rho_ee and coherence rho_eg of the qubit after
-    exchanging with a thermal boson mode, for a scalar or an array of phases.
+def jcm_bath_sums(bath: BathThermal, phi):
+    """Thermal series (pop_up, pop_dn, coh) of a boson bath, for a scalar or an
+    array of phases; they do not depend on the qubit state.
 
-    Thermal series over bath levels n with weights e^(-b n)/z_b; at zero
-    temperature it collapses to the single n = 0 term.  The phases are
-    summed in blocks of about SERIES_CHUNK_CELLS (phase, level) cells, each
-    row in the same order as a single-phase sum.
+    Series over bath levels n with weights e^(-b n)/z_b; at zero temperature
+    it collapses to the single n = 0 term.  Each distinct phase is summed once,
+    in blocks of about SERIES_CHUNK_CELLS (phase, level) cells, each row in the
+    same order as a single-phase sum.
     """
     w = _bath_weights(bath)
     phi = np.asarray(phi, dtype=float)
-    flat = phi.reshape(-1)
+    distinct, index = np.unique(phi.reshape(-1), return_inverse=True)
     roots = np.sqrt(np.arange(len(w) + 1, dtype=float))
-    pop_up, pop_dn, coh = (np.empty(flat.size) for _ in range(3))
+    sums = np.empty((3, distinct.size))
     rows = max(1, SERIES_CHUNK_CELLS // len(w))
-    for start in range(0, flat.size, rows):
+    for start in range(0, distinct.size, rows):
         block = slice(start, start + rows)
-        p = flat[block, None]
+        p = distinct[block, None]
         cos_k = np.cos(p * roots)  # cos(phi sqrt(k)), k = 0 .. n_max + 1
         cos_up, cos_dn = cos_k[:, 1:], cos_k[:, :-1]
         sin_dn = np.sin(p * roots[:-1])
-        pop_up[block] = np.sum(cos_up**2 * w, axis=1)
-        pop_dn[block] = np.sum(sin_dn**2 * w, axis=1)
-        coh[block] = np.sum(cos_up * cos_dn * w, axis=1)
+        sums[0, block] = np.sum(cos_up**2 * w, axis=1)
+        sums[1, block] = np.sum(sin_dn**2 * w, axis=1)
+        sums[2, block] = np.sum(cos_up * cos_dn * w, axis=1)
+    return tuple(s[index].reshape(phi.shape) for s in sums)
+
+
+def jcm_thermal_series(r: BlochVector, sums, omega_t=0.0):
+    """Excited population rho_ee and coherence rho_eg of the qubit after
+    exchanging with a thermal boson mode, from the :func:`jcm_bath_sums`."""
+    pop_up, pop_dn, coh = sums
     up = 0.5 * (1.0 + r.rz)
     dn = 0.5 * (1.0 - r.rz)
     rho_ee = up * pop_up + dn * pop_dn
     rho_eg = 0.5 * (r.rx - 1j * r.ry) * np.exp(-1j * omega_t) * coh
-    return rho_ee.reshape(phi.shape), rho_eg.reshape(phi.shape)
+    return rho_ee, rho_eg
 
 
 def jcm_thermal_components(
     r: BlochVector, bath: BathThermal, phi: float, omega_t: float = 0.0
 ) -> np.ndarray:
     """Reduced 2x2 qubit state of :func:`jcm_thermal_series` at one phase."""
-    rho_ee, rho_eg = jcm_thermal_series(r, bath, float(phi), omega_t)
+    rho_ee, rho_eg = jcm_thermal_series(r, jcm_bath_sums(bath, float(phi)), omega_t)
     return _qubit_matrix(rho_ee, 1.0 - rho_ee, rho_eg)
 
 

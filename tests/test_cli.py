@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from mpemba_qsim import cli, oscillator, verify
+from mpemba_qsim import cli, oscillator, tls, verify
 
 
 def read_csv(path):
@@ -80,7 +80,7 @@ class TestOscillatorCommand:
         assert json.loads(out.with_suffix(".json").read_text())["states"] == states
 
     def test_label_keeps_the_g_spelling_when_exact(self):
-        for alpha in (3.0, 1 + 2j, 1 - 2j, 0.5j, complex(-0.0, 1.0), complex(1.0, -0.0), 1e-20 + 1e300j):
+        for alpha in (3.0, 1 + 2j, 1 - 2j, 0.5j, complex(-0.0, 1.0), complex(1.0, -0.0), 1e-20 + 1e154j):
             old = f"coherent:{alpha.real:g}" if alpha.imag == 0 else f"coherent:{alpha:g}"
             assert cli._state_label(oscillator.Coherent(alpha)) == old
         for nbar in (0.0, 0.5, 3.0, 1e-20, 1e300):
@@ -209,6 +209,24 @@ class TestTlsCommand:
         body = json.loads(out.with_suffix(".json").read_text())
         assert body["states"] == labels and body["pairs"][0]["pair"] == labels
 
+    @pytest.mark.parametrize("model, sums_calls", [("jcm", 1), ("pair", 0)])
+    def test_bath_sums_once_per_command(self, tmp_path, monkeypatch, model, sums_calls):
+        calls = []
+        bath_sums = tls.jcm_bath_sums
+        monkeypatch.setattr(tls, "jcm_bath_sums", lambda *a: calls.append(a) or bath_sums(*a))
+        rc = cli.main(["tls", "--model", model, "--beta", "1", "--steps", "51",
+                       "--bloch", "0,0,1", "--bloch", "0.5,0.5,0.5", "--bloch=-0.3,0.2,0.1",
+                       "--out", str(tmp_path / "x.csv")])
+        assert rc == 0
+        assert len(calls) == sums_calls
+
+    @pytest.mark.parametrize("schedule, tmax", [("ramp", "1e200"), ("cavity", "1e308")])
+    def test_window_far_past_switch_off(self, tmp_path, capsys, schedule, tmax):
+        rc = cli.main(["tls", "--schedule", schedule, "--steps", "11", "--tmax", tmax,
+                       "--out", str(tmp_path / "x.csv")])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+
     def test_traj_rejected_for_pair_model(self, tmp_path):
         with pytest.raises(SystemExit):
             cli.main(
@@ -287,11 +305,15 @@ class TestVerifyCommand:
     [
         ["oscillator", "--states", "thermal:inf", "coherent:nan"],
         ["oscillator", "--states", "coherent:nan"],
+        ["oscillator", "--states", "coherent:1e155"],
+        ["oscillator", "--metric", "hs", "--states", "coherent:1e155"],
+        ["oscillator", "--states", "coherent:1e200j"],
         ["oscillator", "--steps", "1"],
         ["oscillator", "--tmax", "-1"],
         ["oscillator", "--tmax", "inf"],
         ["oscillator", "--gamma", "0"],
         ["tls", "--t0", "inf"],
+        ["tls", "--t0", "1e-310", "--steps", "11"],
         ["tls", "--beta", "0"],
         ["tls", "--beta", "0.001"],
         ["tls", "--beta", "nan"],

@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from mpemba_qsim import metrics, oscillator, tls
 from mpemba_qsim.oscillator import Coherent, Fock, Thermal
+from mpemba_qsim.schedules import Ramp
 from mpemba_qsim.states import BathThermal, BlochVector, ZERO_TEMPERATURE
 
 from conftest import bloch_vectors
@@ -106,7 +107,7 @@ def test_scalar_input_gives_float():
 def test_jcm_series_matches_matrix_path(r, beta, cos2):
     bath = BathThermal(beta)
     phi = np.arccos(np.sqrt(cos2))
-    rho_ee, rho_eg = tls.jcm_thermal_series(r, bath, phi)
+    rho_ee, rho_eg = tls.jcm_thermal_series(r, tls.jcm_bath_sums(bath, phi))
     got = metrics.traceless_qubit_distance(rho_ee, rho_eg)
     for p, value in zip(phi, got):
         check_qubit(value, tls.jcm_thermal_components(r, bath, float(p)), tls.ground_state())
@@ -139,10 +140,54 @@ def test_series_blocks_match_single_phase_sums():
     r = BlochVector(0.3, -0.4, 0.5)
     bath = BathThermal(0.1)
     phi = np.linspace(0.0, 0.5 * math.pi, 1000)
-    rho_ee, rho_eg = tls.jcm_thermal_series(r, bath, phi)
-    single = [tls.jcm_thermal_series(r, bath, float(p)) for p in phi]
+    rho_ee, rho_eg = tls.jcm_thermal_series(r, tls.jcm_bath_sums(bath, phi))
+    single = [tls.jcm_thermal_series(r, tls.jcm_bath_sums(bath, float(p))) for p in phi]
     assert np.array_equal(rho_ee, [s[0] for s in single])
     assert np.array_equal(rho_eg, [s[1] for s in single])
+
+
+@pytest.mark.parametrize(
+    "phi",
+    [
+        # half of the default ramp grid sits on the pi/2 plateau
+        Ramp(1.0).phase(np.linspace(0.0, 2.0, 20001)),
+        np.random.default_rng(3).permutation(np.repeat(np.linspace(0.0, 1.5, 400), 3)),
+        np.linspace(0.0, 1.5, 21).reshape(3, 7),
+    ],
+    ids=["ramp-grid", "shuffled-duplicates", "shape-3x7"],
+)
+def test_bath_sums_match_single_phase_sums(phi):
+    bath = BathThermal(0.1)
+    got = tls.jcm_bath_sums(bath, phi)
+    single = {}
+    for p in phi.flat:
+        if p not in single:
+            single[p] = tls.jcm_bath_sums(bath, p)
+    for k, sums in enumerate(got):
+        assert sums.shape == phi.shape
+        assert np.array_equal(sums, np.vectorize(lambda p: single[p][k])(phi))
+
+
+def test_bath_sums_match_the_series_at_40_digits():
+    """pop_up, pop_dn and coh against the same truncated series summed in mpmath."""
+    mp = pytest.importorskip("mpmath")
+    phis = [0.0, 1e-8, 0.3, 1.0, 0.5 * math.pi]
+    for beta in (0.1, 1.0):
+        bath = BathThermal(beta)
+        got = tls.jcm_bath_sums(bath, phis)
+        levels = len(tls._bath_weights(bath))
+        with mp.workdps(40):
+            b = mp.mpf(beta)
+            w = [mp.exp(-b * n) * (1 - mp.exp(-b)) for n in range(levels)]
+            for i, phi in enumerate(phis):
+                p = mp.mpf(phi)
+                exact = (
+                    sum(wn * mp.cos(p * mp.sqrt(n + 1)) ** 2 for n, wn in enumerate(w)),
+                    sum(wn * mp.sin(p * mp.sqrt(n)) ** 2 for n, wn in enumerate(w)),
+                    sum(wn * mp.cos(p * mp.sqrt(n + 1)) * mp.cos(p * mp.sqrt(n)) for n, wn in enumerate(w)),
+                )
+                for k, value in enumerate(exact):
+                    assert abs(got[k][i] - value) <= 2e-15 * abs(value), (beta, phi, k)
 
 
 ARRAY_LAWS = [

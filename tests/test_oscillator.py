@@ -91,6 +91,13 @@ class TestEvolvedStates:
         with pytest.raises(StateError, match="finite"):
             family(value)
 
+    def test_coherent_amplitude_whose_square_overflows_rejected(self):
+        # |alpha|^2 leaves the float range just above sqrt(max float) ~ 1.34e154
+        assert oscillator.trace_distance_closed(Coherent(1.3e154), 1.0) == 1.0
+        for alpha in (1.4e154, 1e200j, complex(1e308, 1e308)):
+            with pytest.raises(StateError, match="float range"):
+                Coherent(alpha)
+
 
 class TestTraceDistanceClosed:
     def test_coherent_value(self):

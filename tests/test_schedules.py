@@ -57,6 +57,13 @@ class TestRamp:
         t = np.linspace(1.0, 5.0, 50)
         assert np.all(sched.phase(t) == math.pi / 2)
 
+    def test_clamped_law_matches_the_switched_formula(self):
+        sched = Ramp(0.7)
+        t = np.concatenate([np.linspace(0.0, 1.4, 1001), [1e200, 1e308]])
+        with np.errstate(over="ignore"):
+            old = np.where(t <= 0.7, 0.5 * np.pi * (t / 0.7) ** 2, 0.5 * np.pi)
+        assert np.array_equal(sched.phase(t), old)
+
 
 class TestCavityMode:
     def test_halfway_value(self):
@@ -68,6 +75,13 @@ class TestCavityMode:
         sched = CavityMode(2.0)
         assert float(sched.phase(2.0)) == pytest.approx(math.pi / 2, abs=1e-15)
         assert float(sched.phase(7.0)) == math.pi / 2
+
+    def test_clamped_law_matches_the_switched_formula(self):
+        sched = CavityMode(0.7)
+        t = np.concatenate([np.linspace(0.0, 1.4, 1001), [1e200, 1e308]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            old = np.where(t <= 0.7, 0.25 * np.pi * (1.0 - np.cos(np.pi * t / 0.7)), 0.5 * np.pi)
+        assert np.array_equal(sched.phase(t), old)
 
     def test_smooth_switch_on_and_off(self):
         sched = CavityMode(1.0)
