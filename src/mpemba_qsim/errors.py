@@ -21,10 +21,6 @@ class GridError(ValueError):
     """A sampling grid is empty, unsorted, or mismatched between series."""
 
 
-class NoCrossingError(ValueError):
-    """The analytic crossing-time formula has no solution in its window."""
-
-
 class TruncationError(RuntimeError):
     """Clipped tail mass is too large for the requested truncation to be meaningful."""
 

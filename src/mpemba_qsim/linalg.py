@@ -9,36 +9,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError, HermiticityError, StateError
+from .errors import DimensionError, HermiticityError
 
-# Tolerances fixed package-wide.
-HERMITICITY_TOL = 1e-10     # max asymmetry accepted before symmetrizing
-DENSITY_TRACE_TOL = 1e-10
-DENSITY_HERM_TOL = 1e-12
-DENSITY_EIG_FLOOR = -1e-10
+HERMITICITY_TOL = 1e-10  # max asymmetry eig_hermitian accepts before symmetrizing
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)   # |e><g|
 SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # |g><e|
-
-
-def ladder_lowering(dim: int) -> np.ndarray:
-    """Lowering operator on a Fock space truncated to ``dim`` levels.
-
-    Entry (n-1, n) is sqrt(n) for 1 <= n < dim, everything else 0.
-    """
-    if dim < 2:
-        raise DimensionError(f"Fock truncation needs dim >= 2, got {dim}")
-    return np.diag(np.sqrt(np.arange(1.0, dim)), k=1).astype(complex)
-
-
-def number_operator(dim: int) -> np.ndarray:
-    """diag(0, 1, ..., dim-1)."""
-    if dim < 2:
-        raise DimensionError(f"Fock truncation needs dim >= 2, got {dim}")
-    return np.diag(np.arange(dim, dtype=float)).astype(complex)
 
 
 def projector(vec: np.ndarray) -> np.ndarray:
@@ -83,23 +62,3 @@ def propagator(h: np.ndarray) -> np.ndarray:
     """exp(-i H) for a Hermitian generator H (all time integrals inside H)."""
     w, v = eig_hermitian(h)
     return (v * np.exp(-1j * w)) @ v.conj().T
-
-
-def validate_density_matrix(rho: np.ndarray, what: str = "state") -> None:
-    """Raise StateError unless rho is unit-trace, Hermitian and PSD.
-
-    Tolerances: trace within 1e-10 of 1, Hermitian within 1e-12, smallest
-    eigenvalue >= -1e-10.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise DimensionError(f"{what}: expected a square matrix, got {rho.shape}")
-    tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > DENSITY_TRACE_TOL:
-        raise StateError(f"{what}: trace {tr} deviates from 1 by {abs(tr - 1.0):.3e}")
-    asym = float(np.max(np.abs(rho - rho.conj().T)))
-    if asym > DENSITY_HERM_TOL:
-        raise StateError(f"{what}: not Hermitian, max asymmetry {asym:.3e}")
-    w = np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)
-    if float(w[0]) < DENSITY_EIG_FLOOR:
-        raise StateError(f"{what}: negative eigenvalue {w[0]:.3e}")

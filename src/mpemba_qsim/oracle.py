@@ -12,11 +12,10 @@ The two-oscillator model relaxes into a partner mode in its vacuum, as every
 oscillator closed form assumes.  The coupling conserves total excitation, so
 |n, 0> never leaves sector n, spanned by |m, n - m> for m = 0 .. n; each
 sector Hamiltonian is a small tridiagonal matrix that gets eigendecomposed
-numerically.  These sectors are invariant blocks of the truncated operator
-that :func:`oscillator_propagator` exponentiates densely, and the test suite
-checks the two routes against each other.  Skipping the dense matrix lets
-the system space be padded past the requested output dimension until the
-initial tail is negligible.
+numerically.  These sectors are invariant blocks of the dense truncated
+operator, which only the test suite builds, as a reference the sector route
+must reproduce.  Skipping the dense matrix lets the system space be padded
+past the requested output dimension until the initial tail is negligible.
 
 The Jaynes-Cummings oracle uses the same idea at its smallest: the coupling
 b sigma+ + b+ sigma- conserves excitation number, so the truncated operator
@@ -184,21 +183,6 @@ def oscillator_oracle(
         reduced = psi @ psi.conj().T
 
     return _finalize_reduced(reduced, dim, f"oscillator oracle(dim={dim})")
-
-
-def oscillator_propagator(omega0_t: float, kappa: float, levels: int) -> np.ndarray:
-    """Dense composite propagator on levels x levels, exponentiated in one shot.
-
-    Reference route for small dimensions; the sector engine above is its
-    exact block-diagonalization.
-    """
-    a = linalg.ladder_lowering(levels)
-    eye = np.eye(levels, dtype=complex)
-    num = linalg.number_operator(levels)
-    gen = omega0_t * (linalg.tensor(num, eye) + linalg.tensor(eye, num)) + kappa * (
-        linalg.tensor(a, a.conj().T) + linalg.tensor(a.conj().T, a)
-    )
-    return linalg.propagator(gen)
 
 
 # Composite qubit x qubit generators: free sigma_z sum and the exchange coupling.

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
@@ -21,6 +22,9 @@ import numpy as np
 from .errors import GridError, TimeDomainError
 
 DEFAULT_GRID_STEPS = 1001
+# Largest switch-off time t0: up to it 2 t0 (the default window), pi t for
+# t <= t0 and 1/t0 all stay finite.
+T0_MAX = sys.float_info.max / 4
 
 
 def check_cos2(values, name: str = "cos2") -> np.ndarray:
@@ -37,6 +41,11 @@ def _check_times(t):
     if np.any(arr < 0.0):
         raise TimeDomainError("schedules are defined for t >= 0 only")
     return arr
+
+
+def _check_t0(t0: float) -> None:
+    if not 0 < t0 <= T0_MAX:
+        raise ValueError(f"t0 must be finite and > 0, at most {T0_MAX:.4g}, got {t0}")
 
 
 @dataclass(frozen=True)
@@ -80,8 +89,7 @@ class Ramp:
     t0: float
 
     def __post_init__(self) -> None:
-        if not 0 < self.t0 < math.inf:
-            raise ValueError(f"t0 must be finite and > 0, got {self.t0}")
+        _check_t0(self.t0)
 
     def phase(self, t):
         t = np.minimum(_check_times(t), self.t0)
@@ -102,8 +110,7 @@ class CavityMode:
     t0: float
 
     def __post_init__(self) -> None:
-        if not 0 < self.t0 < math.inf:
-            raise ValueError(f"t0 must be finite and > 0, got {self.t0}")
+        _check_t0(self.t0)
 
     def phase(self, t):
         t = np.minimum(_check_times(t), self.t0)

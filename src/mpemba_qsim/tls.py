@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .errors import NoCrossingError, StateError, TruncationError
+from .errors import StateError, TruncationError
 from .schedules import check_cos2
 from .states import BathThermal, BlochVector
 
@@ -147,7 +147,11 @@ def jcm_trace_distance(r: BlochVector, phi_cos2):
     qubit-pair model at zero bath temperature obeys the same law in mu_cos2.
     """
     c = check_cos2(phi_cos2, "phi_cos2")
-    d = np.sqrt((0.5 * (1.0 + r.rz)) ** 2 * c**2 + 0.25 * (r.rx**2 + r.ry**2) * c)
+    up = 0.5 * (1.0 + r.rz)
+    d = np.sqrt(up**2 * c**2 + 0.25 * (r.rx**2 + r.ry**2) * c)
+    low = d < 1.5e-154  # the squares underflow: take the root term by term
+    if np.any(low):
+        d = np.where(low, np.hypot(up * c, 0.5 * r.r_perp * np.sqrt(c)), d)
     return float(d) if d.ndim == 0 else d
 
 
@@ -173,14 +177,12 @@ def crossing_cos_phi(r: BlochVector) -> float | None:
 def crossing_tau_cavity(r_perp: float) -> float:
     """Scaled intersection time t/t0 under the cavity-mode profile for rz = 0.
 
-    Inverts the cavity phase law at cos(phi) = r_perp/sqrt(3); decreases
-    strictly from 1 (r_perp -> 0) to about 0.569 (r_perp = 1).
+    Inverts the cavity phase law at the crossing phase of
+    :func:`crossing_cos_phi`, cos(phi) = r_perp/sqrt(3); decreases strictly
+    from 1 (r_perp -> 0) to about 0.569 (r_perp = 1), so every r_perp in
+    (0, 1] crosses inside the coupling window.
     """
     if not 0.0 < r_perp <= 1.0:
         raise StateError(f"r_perp must lie in (0, 1], got {r_perp}")
-    arg = 1.0 - (4.0 / math.pi) * math.acos(r_perp / math.sqrt(3.0))
-    if not -1.0 <= arg <= 1.0:
-        raise NoCrossingError(
-            f"no crossing within the coupling window (arccos argument {arg:.6f})"
-        )
-    return math.acos(arg) / math.pi
+    cos_phi = crossing_cos_phi(BlochVector(r_perp, 0.0, 0.0))
+    return math.acos(1.0 - (4.0 / math.pi) * math.acos(cos_phi)) / math.pi

@@ -225,11 +225,12 @@ def suite_propagator_unitarity(name, dim, seed, tol):
         if kind == "jcm_sectors":
             blocks = oracle._jcm_sector_propagators(0.9, n)[1:n]  # the coupled 2x2 blocks
             return np.max(np.abs(blocks @ blocks.conj().transpose(0, 2, 1) - np.eye(2)))
-        u = oracle.oscillator_propagator(0.3, 0.8, n)
-        return np.max(np.abs(u @ u.conj().T - np.eye(n * n)))
+        # the excitation sectors oscillator_oracle applies
+        sectors = [(v * np.exp(-0.8j * w)) @ v.T for w, v in oracle._sector_eigensystems(n)]
+        return max(np.max(np.abs(u @ u.conj().T - np.eye(len(u)))) for u in sectors)
 
     cases = [("random", n) for n in (2, 6, 16, 32)]
-    cases += [("jcm_sectors", 12), ("oscillator", 8)]
+    cases += [("jcm_sectors", 12), ("oscillator_sectors", 8)]
     return _run_cases(name, tol, dev, cases)
 
 

@@ -17,6 +17,8 @@ from mpemba_qsim.oscillator import Coherent, Fock, Thermal
 from mpemba_qsim.schedules import CavityMode, ExpDecay, Ramp, time_grid
 from mpemba_qsim.states import BathThermal, BlochVector, ZERO_TEMPERATURE
 
+from conftest import validate_density_matrix
+
 EXCITED = BlochVector(0.0, 0.0, 1.0)
 TILTED = BlochVector(0.5, 0.5, 0.5)
 TAUS_11 = np.linspace(0.0, 6.0, 11)
@@ -279,8 +281,9 @@ def test_criterion_09_property_suites():
         m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         u = linalg.propagator((m + m.conj().T) / 2)
         worst_u = max(worst_u, float(np.max(np.abs(u @ u.conj().T - np.eye(n)))))
-    u = oracle.oscillator_propagator(0.4, 0.9, 6)
-    worst_u = max(worst_u, float(np.max(np.abs(u @ u.conj().T - np.eye(36)))))
+    for w, v in oracle._sector_eigensystems(6):  # the blocks oscillator_oracle applies
+        u = (v * np.exp(-0.9j * w)) @ v.T
+        worst_u = max(worst_u, float(np.max(np.abs(u @ u.conj().T - np.eye(len(w))))))
     blocks = oracle._jcm_sector_propagators(1.1, 12)[1:12]  # the coupled 2x2 blocks
     worst_u = max(worst_u, float(np.max(np.abs(blocks @ blocks.conj().transpose(0, 2, 1) - np.eye(2)))))
     ok = check(9, f"propagator unitarity: max deviation {worst_u:.3e} <= 1e-10",
@@ -295,7 +298,7 @@ def test_criterion_09_property_suites():
                 brute = oracle.oscillator_oracle(state, 0.0, math.acos(math.sqrt(math.exp(-tau))), 40)
                 for rho in (closed, brute):
                     try:
-                        linalg.validate_density_matrix(rho)
+                        validate_density_matrix(rho)
                     except (StateError, DimensionError):
                         states_ok = False
     ok = check(9, f"every evolved state is a valid density matrix: {states_ok}", states_ok) and ok

@@ -314,6 +314,10 @@ class TestVerifyCommand:
         ["oscillator", "--gamma", "0"],
         ["tls", "--t0", "inf"],
         ["tls", "--t0", "1e-310", "--steps", "11"],
+        ["tls", "--schedule", "cavity", "--t0", "8e307", "--steps", "11"],
+        ["tls", "--schedule", "cavity", "--t0", "1e308"],
+        ["tls", "--schedule", "ramp", "--t0", "1e308"],
+        ["tls", "--schedule", "ramp", "--t0", "1e308", "--tmax", "1"],
         ["tls", "--beta", "0"],
         ["tls", "--beta", "0.001"],
         ["tls", "--beta", "nan"],

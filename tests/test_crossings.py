@@ -11,7 +11,7 @@ from mpemba_qsim.crossings import (
     pairwise_crossings,
 )
 from mpemba_qsim.errors import GridError
-from mpemba_qsim.schedules import CavityMode, Ramp, time_grid
+from mpemba_qsim.schedules import CavityMode, ExpDecay, Ramp, time_grid
 from mpemba_qsim.states import BlochVector
 
 EXCITED = BlochVector(0.0, 0.0, 1.0)
@@ -187,6 +187,32 @@ class TestOscillatorPairs:
         assert len(pair.crossing_times) == 1
         assert pair.crossing_times[0] == pytest.approx(math.log(1.5), abs=1e-3)
         assert pair.mpemba  # distance-based flag only; energy ordering is separate
+
+    def test_number_states_cross_coherent_earlier_for_smaller_n(self):
+        # number:N starts at distance 1, above coherent:1 at sqrt(1 - e^-1), and
+        # meets it once, at the root c* of 1 - (1 - c)^N = sqrt(1 - e^-c)
+        grid = time_grid(ExpDecay(1.0), 20001)
+        cos2 = np.exp(-grid)
+        coherent = DistanceSeries(
+            "coherent:1", grid, oscillator.trace_distance_closed(oscillator.Coherent(1.0), cos2)
+        )
+        taus = []
+        for n in (1, 2, 3, 5):
+            number = DistanceSeries(
+                f"number:{n}", grid, oscillator.trace_distance_closed(oscillator.Fock(n), cos2)
+            )
+            pair = detect_crossings(number, coherent).pairs[0]
+            assert len(pair.crossing_times) == 1 and pair.mpemba
+            lo, hi = 0.0, 1.0  # the gap below is < 0 as c -> 0 and > 0 at c = 1
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                if 1.0 - (1.0 - mid) ** n < math.sqrt(-math.expm1(-mid)):
+                    lo = mid
+                else:
+                    hi = mid
+            assert abs(pair.crossing_times[0] + math.log(lo)) <= 1e-6
+            taus.append(pair.crossing_times[0])
+        assert taus == sorted(set(taus))
 
 
 class TestAlphaWindowScan:

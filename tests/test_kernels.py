@@ -298,3 +298,62 @@ def test_fock_hs_distance_keeps_its_digits_at_small_cos2():
                 p = [mp.binomial(n, k) * c**k * (1 - c) ** (n - k) for k in range(n + 1)]
                 exact = mp.sqrt(sum(pk**2 for pk in p[1:]) + (1 - p[0]) ** 2)
                 assert abs(value - exact) <= 1e-13 * exact, (n, float(c))
+
+
+def test_distance_laws_against_60_digit_references_at_the_extremes():
+    """Relative error of every zero-temperature law against mpmath at 60 digits.
+
+    Cases whose exact value, or whose product |alpha|^2 c or nbar c, lies
+    below the smallest normal float are skipped: there the float laws
+    underflow (coherent:1e-150 at c = 1e-150 gives 0 against 1e-225).
+    """
+    mp = pytest.importorskip("mpmath")
+    tiny = np.finfo(float).tiny
+    cos2 = [0.0, 1e-300, 1e-150, 1e-17, 1e-8, 0.3, 0.5, 1.0 - 1e-8, 1.0 - 2.0**-53, 1.0]
+    nbars = [1e-300, 1e-150, 1e-8, 0.5, 3.0, 1e8, 1e150, 1e300]
+    alphas = [1e-150, 1e-75, 1e-8, 0.3, 1.0, 5.0, 30.0]
+    blochs = [
+        BlochVector(0.0, 0.0, 1.0),
+        BlochVector(0.5, 0.5, 0.5),
+        BlochVector(1.0, 0.0, 0.0),
+        BlochVector(0.6, 0.0, -0.8),
+        BlochVector(0.3, -0.4, 0.1),
+    ]
+    worst = {}
+
+    def check(law, got, exact, product=None):
+        if exact < tiny or (product is not None and product < tiny):
+            return
+        worst[law] = max(worst.get(law, 0.0), float(abs(got - exact) / exact))
+
+    with mp.workdps(60):
+        for c in cos2:
+            cm = mp.mpf(c)
+            for nbar in nbars:
+                m = mp.mpf(nbar) * cm
+                check("thermal trace", oscillator.trace_distance_closed(Thermal(nbar), c),
+                      m / (m + 1), m)
+                check("thermal hs", oscillator.hs_distance_closed(Thermal(nbar), c),
+                      m * mp.sqrt(2 / ((2 * m + 1) * (m + 1))), m)
+            for alpha in alphas:
+                x = mp.mpf(alpha) ** 2 * cm
+                check("coherent trace", oscillator.trace_distance_closed(Coherent(alpha), c),
+                      mp.sqrt(-mp.expm1(-x)), x)
+                check("coherent hs", oscillator.hs_distance_closed(Coherent(alpha), c),
+                      mp.sqrt(-2 * mp.expm1(-x)), x)
+            for n in (1, 3, 20, 171, 500):
+                exact = 1 if c == 1.0 else -mp.expm1(n * mp.log1p(-cm))
+                check("fock trace", oscillator.trace_distance_closed(Fock(n), c), exact)
+            s = mp.fsub(1, cm, exact=True)
+            for n in (171, 500):
+                pops = oscillator.binomial_populations(n, c, n + 1)
+                for k in range(n + 1):
+                    exact = mp.binomial(n, k) * cm**k * s ** (n - k)
+                    check(f"binomial populations {n}", pops[k], exact)
+            for r in blochs:
+                up = (1 + mp.mpf(r.rz)) / 2
+                perp2 = mp.mpf(r.rx) ** 2 + mp.mpf(r.ry) ** 2
+                check("jcm trace", tls.jcm_trace_distance(r, c), mp.sqrt(up**2 * cm**2 + perp2 * cm / 4))
+    bounds = {law: 1e-11 if law.startswith("binomial") else 1e-15 for law in worst}
+    assert len(worst) == 8
+    assert {law: err for law, err in worst.items() if err > bounds[law]} == {}, worst

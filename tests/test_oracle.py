@@ -11,7 +11,13 @@ from mpemba_qsim.errors import DimensionError, StateError, TruncationError, Trun
 from mpemba_qsim.oscillator import Coherent, Fock, Thermal
 from mpemba_qsim.states import BathThermal, BlochVector, ZERO_TEMPERATURE, bloch_density_matrix
 
-from conftest import bloch_vectors, random_bloch
+from conftest import (
+    bloch_vectors,
+    ladder_lowering,
+    number_operator,
+    random_bloch,
+    validate_density_matrix,
+)
 
 EXCITED = BlochVector(0.0, 0.0, 1.0)
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
@@ -71,7 +77,7 @@ class TestOscillatorOracle:
         cases.append((Coherent(alpha), np.outer(vec, vec.conj()), 0.8))
         for state, rho_sys, kappa in cases:
             levels = len(rho_sys)
-            u = oracle.oscillator_propagator(0.6, kappa, levels)
+            u = dense_oscillator_reference(0.6, kappa, levels)
             vacuum = np.diag(np.eye(levels)[0]).astype(complex)
             rho = u @ linalg.tensor(rho_sys, vacuum) @ u.conj().T
             dense = linalg.partial_trace_b(rho, levels, levels)[:dim, :dim]
@@ -85,12 +91,12 @@ class TestOscillatorOracle:
         # <n_a> + <n_b> in the composite state is kappa-independent
         levels = 8
         n_tot = linalg.tensor(
-            linalg.number_operator(levels), np.eye(levels, dtype=complex)
-        ) + linalg.tensor(np.eye(levels, dtype=complex), linalg.number_operator(levels))
+            number_operator(levels), np.eye(levels, dtype=complex)
+        ) + linalg.tensor(np.eye(levels, dtype=complex), number_operator(levels))
         psi0 = np.kron(np.eye(levels)[3], np.eye(levels)[0])
         values = []
         for kappa in np.linspace(0.0, math.pi, 7):
-            u = oracle.oscillator_propagator(0.0, float(kappa), levels)
+            u = dense_oscillator_reference(0.0, float(kappa), levels)
             psi = u @ psi0
             values.append(float(np.real(psi.conj() @ n_tot @ psi)))
         assert np.max(np.abs(np.array(values) - 3.0)) <= 1e-10
@@ -108,7 +114,7 @@ class TestOscillatorOracle:
             warnings.simplefilter("ignore", TruncationWarning)
             for state in (Thermal(3.0), Coherent(1.5), Fock(4)):
                 rho = oracle.oscillator_oracle(state, 0.4, 0.9, 40)
-                linalg.validate_density_matrix(rho)
+                validate_density_matrix(rho)
 
     @SETTINGS
     @given(
@@ -181,11 +187,26 @@ def dense_tls_pair_oracle(r, bath, mu, omega_t):
     return linalg.partial_trace_b(u @ rho0 @ u.conj().T, 2, 2)
 
 
+def dense_oscillator_reference(omega0_t, kappa, levels):
+    """Dense composite oscillator propagator on levels x levels, exponentiated in one shot.
+
+    Reference route for small dimensions; the oracle's sector engine is its
+    exact block-diagonalization.
+    """
+    a = ladder_lowering(levels)
+    eye = np.eye(levels, dtype=complex)
+    num = number_operator(levels)
+    gen = omega0_t * (linalg.tensor(num, eye) + linalg.tensor(eye, num)) + kappa * (
+        linalg.tensor(a, a.conj().T) + linalg.tensor(a.conj().T, a)
+    )
+    return linalg.propagator(gen)
+
+
 def dense_jcm_reference(r, mode_pops, phi, omega_t):
     """Qubit x mode evolved with the dense 2dim x 2dim propagator, then reduced."""
     dim = len(mode_pops)
     rho0 = linalg.tensor(bloch_density_matrix(r), np.diag(mode_pops).astype(complex))
-    b = linalg.ladder_lowering(dim)
+    b = ladder_lowering(dim)
     coupling = linalg.tensor(linalg.SIGMA_PLUS, b) + linalg.tensor(
         linalg.SIGMA_MINUS, b.conj().T
     )
@@ -241,7 +262,7 @@ class TestJcmOracle:
     def test_outputs_are_valid_states_by_property(self, r, phi, wt, beta):
         # beta >= 0.7 keeps the thermal tail below BATH_TAIL_TOL at dim 40
         rho = oracle.jcm_oracle(r, BathThermal(beta), phi, wt, dim=40)
-        linalg.validate_density_matrix(rho)
+        validate_density_matrix(rho)
 
     def test_dim_below_two_rejected(self):
         for dim in (0, 1):
@@ -292,7 +313,7 @@ class TestJcmOracle:
     def test_outputs_are_valid_states(self, rng):
         for beta in (math.inf, 1.0):
             rho = oracle.jcm_oracle(random_bloch(rng), BathThermal(beta), 0.8, 0.3, dim=40)
-            linalg.validate_density_matrix(rho)
+            validate_density_matrix(rho)
 
     def test_hot_bath_needs_room(self):
         with pytest.raises(TruncationError):

@@ -4,9 +4,11 @@ import warnings
 import numpy as np
 import pytest
 
-from mpemba_qsim import linalg, metrics, oscillator
+from mpemba_qsim import metrics, oscillator
 from mpemba_qsim.errors import DimensionError, StateError, TruncationError, TruncationWarning
 from mpemba_qsim.oscillator import Coherent, Fock, Thermal
+
+from conftest import validate_density_matrix
 
 
 class TestEvolvedStates:
@@ -53,7 +55,7 @@ class TestEvolvedStates:
             for state in (Thermal(3.0), Coherent(2.0), Fock(5)):
                 for cos2 in (1.0, 0.5, 0.01):
                     rho = oscillator.evolve_closed_form(state, cos2, dim=40)
-                    linalg.validate_density_matrix(rho)
+                    validate_density_matrix(rho)
 
     def test_invalid_cos2(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -161,6 +162,19 @@ class TestCommonInvariants:
     def test_parameter_must_be_finite_and_positive(self, cls, value):
         with pytest.raises(ValueError, match="finite and > 0"):
             cls(value)
+
+    @pytest.mark.parametrize("cls", [Ramp, CavityMode])
+    def test_largest_t0_keeps_window_and_phase_finite(self, cls):
+        # beyond float max / 4, the default window 2 t0 or pi t overflows
+        sched = cls(sys.float_info.max / 4)
+        grid = schedules.time_grid(sched, 11)
+        tau = (1.0 / sched.t0) * grid
+        assert np.all(np.isfinite(grid)) and np.all(np.isfinite(tau))
+        assert tau[-1] == pytest.approx(2.0, abs=1e-15)
+        with np.errstate(all="raise"):
+            assert np.all(np.isfinite(sched.phase(grid)))
+        with pytest.raises(ValueError, match="t0 must be finite and > 0"):
+            cls(math.nextafter(schedules.T0_MAX, math.inf))
 
     @pytest.mark.parametrize("tmax", [0.0, -1.0, math.nan, math.inf])
     def test_grid_window_must_be_finite_and_positive(self, tmax):

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from mpemba_qsim import linalg, metrics, tls
-from mpemba_qsim.errors import NoCrossingError, StateError, TruncationError
+from mpemba_qsim import metrics, tls
+from mpemba_qsim.errors import StateError, TruncationError
 from mpemba_qsim.states import (
     BathThermal,
     BlochVector,
@@ -12,7 +12,7 @@ from mpemba_qsim.states import (
     bloch_density_matrix,
 )
 
-from conftest import random_bloch
+from conftest import random_bloch, validate_density_matrix
 
 EXCITED = BlochVector(0.0, 0.0, 1.0)
 TILTED = BlochVector(0.5, 0.5, 0.5)
@@ -47,7 +47,7 @@ class TestPairEvolve:
         for _ in range(20):
             r = random_bloch(rng)
             rho = tls.tls_pair_evolve(r, BathThermal(0.7), float(rng.uniform()), 1.3)
-            linalg.validate_density_matrix(rho)
+            validate_density_matrix(rho)
 
     def test_invalid_mu_cos2(self):
         with pytest.raises(ValueError):
@@ -105,7 +105,7 @@ class TestJcmThermalComponents:
         for beta in (0.3, 1.0, 5.0):
             rho = tls.jcm_thermal_components(random_bloch(rng), BathThermal(beta), 0.7)
             assert np.trace(rho).real == pytest.approx(1.0, abs=0)
-            linalg.validate_density_matrix(rho)
+            validate_density_matrix(rho)
 
     def test_insufficient_n_max(self):
         # b = 0.001 needs ~32000 terms, past SERIES_CAP
@@ -153,6 +153,12 @@ class TestJcmTraceDistance:
     def test_excited_is_cos2(self):
         for c in (0.0, 0.3, 1.0):
             assert tls.jcm_trace_distance(EXCITED, c) == pytest.approx(c, abs=1e-15)
+
+    def test_excited_is_cos2_where_its_square_underflows(self):
+        # below about 1.5e-154 the law's c**2 underflows; the distance is still c
+        c = np.concatenate([np.exp(-np.arange(0.0, 745.0, 5.0)), [1e-160, 1e-300, 5e-324, 0.0]])
+        assert np.array_equal(tls.jcm_trace_distance(EXCITED, c), c)
+        assert tls.jcm_trace_distance(EXCITED, 1e-300) == 1e-300
 
     def test_tilted_at_full_coupling(self):
         assert tls.jcm_trace_distance(TILTED, 1.0) == pytest.approx(
@@ -223,18 +229,20 @@ class TestCrossingFormulas:
         taus = [tls.crossing_tau_cavity(float(r)) for r in grid]
         assert np.all(np.diff(taus) < 0)
 
+    def test_cavity_crossing_is_the_inline_phase_formula(self):
+        # the crossing phase of crossing_cos_phi, r_perp / sqrt(3) at rz = 0,
+        # gives the same floats as the formula written out, down to 5e-324
+        grid = np.concatenate([[5e-324], np.logspace(-300, -1, 499), np.linspace(0.0, 1.0, 501)[1:]])
+        for r_perp in grid.tolist():
+            inline = math.acos(1.0 - (4.0 / math.pi) * math.acos(r_perp / math.sqrt(3.0))) / math.pi
+            assert tls.crossing_tau_cavity(r_perp) == inline
+        assert tls.crossing_tau_cavity(5e-324) == 1.0
+
     def test_cavity_crossing_domain(self):
         with pytest.raises(StateError):
             tls.crossing_tau_cavity(0.0)
         with pytest.raises(StateError):
             tls.crossing_tau_cavity(1.2)
-
-
-def test_no_crossing_error_reachable():
-    # out-of-contract r_perp values between 1 and sqrt(3) push the outer
-    # arccos argument above 1
-    with pytest.raises((NoCrossingError, StateError)):
-        tls.crossing_tau_cavity(1.5)
 
 
 class TestBathThermal:
