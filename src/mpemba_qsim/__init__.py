@@ -32,7 +32,6 @@ from .schedules import (
     ExpDecay,
     Ramp,
     SinExpDecay,
-    Tabulated,
     time_grid,
 )
 from .states import BathThermal, BlochVector, ZERO_TEMPERATURE
@@ -50,7 +49,6 @@ __all__ = [
     "Fock",
     "Ramp",
     "SinExpDecay",
-    "Tabulated",
     "Thermal",
     "ZERO_TEMPERATURE",
     "alpha_window_scan",

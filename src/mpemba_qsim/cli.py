@@ -1,8 +1,9 @@
 """Command-line surface: figure-style CSV/JSON emitters and the verification run.
 
 Exit codes: 0 ok, 1 verification failure, 2 usage error.  CSV files carry a
-header row, comma separators, 17 significant digits and LF line endings, so
-repeated runs with the same flags are byte-identical.
+header row, comma separators and LF line endings, and spell every value exactly
+as C's and Python's '%.17g' do, so repeated runs with the same flags are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import dataclasses
 import json
 import math
 import sys
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -67,14 +69,192 @@ def _parse_dim(token: str) -> int:
     return dim
 
 
+# The fast path of the cell formatter covers zero and |x| in [_FAST_MIN,
+# _FAST_MAX]; the powers of ten 10**k it needs, k in [_POW_MIN, _POW_MAX], are
+# normal doubles whose Dekker split cannot overflow.
+_FAST_MIN, _FAST_MAX = 1e-280, 1e280
+_POW_MIN, _POW_MAX = -266, 298
+_SPLIT = 134217729.0  # 2**27 + 1
+# The quad table holds "0000".."9999" zero-padded, then from these offsets with
+# leading zeros blank, with leading zeros blank but "0" kept for 0, and with
+# trailing zeros blank.
+_LEAD, _LAST, _TRAIL = 10000, 20000, 30000
+
+
+def _words(texts: list[bytes], width: int = 4) -> np.ndarray:
+    """``texts`` left-justified and NUL-padded to ``width`` bytes, as native uint32 words."""
+    return np.frombuffer(b"".join(t.ljust(width, b"\0") for t in texts), np.uint32)
+
+
+@cache
+def _format_tables() -> dict:
+    """Lookup tables of the cell formatter, built on first use.
+
+    ``pow``: 10**k as hi + lo with |lo| <= ulp(hi)/2, from exact integer
+    arithmetic, and hi's Dekker halves.  The rest are words of text.
+    """
+    his, los = [], []
+    for k in range(_POW_MIN, _POW_MAX + 1):
+        if k >= 0:
+            hi = float(10**k)
+            lo = float(10**k - int(hi))
+        else:
+            n = 10**-k
+            hi = 1 / n
+            num, den = hi.as_integer_ratio()
+            lo = (den - num * n) / (den * n)
+        his.append(hi)
+        los.append(lo)
+    hi = np.array(his)
+    c = _SPLIT * hi
+    hi_h = c - (c - hi)
+    digits = (np.arange(10000, dtype=np.int32)[:, None] // np.array([1000, 100, 10, 1], np.int32) % 10).astype(np.uint8)
+    lead = np.maximum.accumulate(digits > 0, axis=1)
+    last = lead.copy()
+    last[:, 3] = True
+    trail = np.maximum.accumulate(digits[:, ::-1] > 0, axis=1)[:, ::-1]
+    chars = digits + np.uint8(48)
+    quads = np.concatenate([chars, chars * lead, chars * last, chars * trail])
+    # 0..999 right-aligned, then the same with a minus sign before the first digit
+    small = np.concatenate([quads[_LAST : _LAST + 1000]] * 2)
+    n = np.arange(1000)
+    small[n + 1000, 2 - (n >= 10) - (n >= 100)] = ord("-")
+    return {
+        "pow": (hi, np.array(los), hi_h, hi - hi_h),
+        "quad": quads.view(np.uint32).ravel(),
+        "small": small.view(np.uint32).ravel(),
+        # the sign and the first of 17 integer digits (blank for 0), negative from 10
+        "head": _words([b"\0\0" + sign + (b"%d" % i if i else b"") for sign in (b"", b"-") for i in range(10)]),
+        # the point and the zeros of 0.000ddd..., blank at 4
+        "point": _words([b"." + b"0" * z for z in range(4)] + [b""]),
+        # the last fraction digit in byte 0, blank at 10
+        "digit": _words([b"%d" % i for i in range(10)] + [b""]),
+        # "e-300".."e+300" from byte 1 of two words, blank at 601
+        "exp": _words([b"\0e%+03d" % e for e in range(-300, 301)] + [b""], 8).reshape(-1, 2).T.copy(),
+    }
+
+
+def _scaled(ax: np.ndarray, k: np.ndarray, pow10) -> tuple[np.ndarray, np.ndarray]:
+    """ax * 10**k as p + r: p = fl(ax * hi), r a double within about 1e-14 of the rest."""
+    k = k - _POW_MIN
+    hi, lo, hi_h, hi_l = (t[k] for t in pow10)
+    c = _SPLIT * ax
+    ax_h = c - (c - ax)
+    ax_l = ax - ax_h
+    p = ax * hi
+    err = ((ax_h * hi_h - p) + ax_h * hi_l + ax_l * hi_h) + ax_l * hi_l
+    return p, err + ax * lo
+
+
+def _round17(x: np.ndarray, pow10) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """17 significant digits of each x: (d, E, fast) with |x| ~ d * 10**(E - 16), d in [1e16, 1e17).
+
+    y = |x| * 10**(16 - E) is found to about 1e-14 as a double-double and d is
+    round(y).  ``fast`` is False where that cannot be trusted: y within 1e-6
+    of a rounding tie, |x| outside the fast range, or x not finite.  Zeros give
+    d = E = 0.
+    """
+    ax = np.abs(x)
+    zero = ax == 0
+    fast = zero | ((ax >= _FAST_MIN) & (ax <= _FAST_MAX))
+    ax = np.where(fast & ~zero, ax, 1.0)
+    e = np.floor(np.log10(ax)).astype(np.int64)
+    p, r = _scaled(ax, 16 - e, pow10)
+    # log10 can miss the decade next to a power of ten: move E by one there
+    shift = ((p > 1e17) | ((p == 1e17) & (r >= 0))).astype(np.int64)
+    shift -= (p < 1e16) | ((p == 1e16) & (r < 0))
+    moved = np.flatnonzero(shift)
+    if moved.size:
+        e[moved] += shift[moved]
+        p[moved], r[moved] = _scaled(ax[moved], 16 - e[moved], pow10)
+    whole = np.floor(r)
+    r -= whole
+    d = p.astype(np.int64) + whole.astype(np.int64) + (r > 0.5)
+    fast &= (np.abs(r - 0.5) > 1e-6) & (d >= 10**16) & (d <= 10**17)
+    carry = d == 10**17
+    d[carry] = 10**16
+    e += carry
+    d[zero] = 0
+    e[zero] = 0
+    return d, e, fast
+
+
+def _quads(v: np.ndarray) -> list[np.ndarray]:
+    """v < 10**16 as four 4-digit groups, most significant first."""
+    upper = v // 10**8
+    lower = (v - upper * 10**8).astype(np.int32)
+    upper = upper.astype(np.int32)
+    q1 = upper // 10000
+    q3 = lower // 10000
+    return [q1, upper - q1 * 10000, q3, lower - q3 * 10000]
+
+
+def _format_block(block: np.ndarray) -> bytearray:
+    """CSV text of a 2-D float block: each cell exactly '%.17g' % x, ',' between cells, LF after rows.
+
+    Each cell is written into a slot of native uint32 words, NUL where unused,
+    and the NULs are deleted at the end.  Cells that ``_round17`` cannot vouch
+    for are formatted by Python.
+    """
+    tables = _format_tables()
+    quad = tables["quad"]
+    x = block.ravel()
+    d, e, fast = _round17(x, tables["pow"])
+
+    # %g layout: fixed point for -4 <= E < 17, else d.ddd...e+XX.  With `lead`
+    # digits before the point (none below 1), the integer part i prints without
+    # leading zeros, the fraction f (left-aligned in 17 digits) without trailing
+    # zeros, and the point only before a fraction digit.
+    fixed = (e >= -4) & (e < 17)
+    lead = np.where(fixed, np.maximum(e, -1), 0) + 1
+    scale = 10 ** np.arange(18, dtype=np.int64)
+    unit = scale[17 - lead]
+    i = d // unit
+    f = (d - i * unit) * scale[lead]
+    neg = np.signbit(x)
+    # slot: the integer part (one word below 1000, else five), the point, four
+    # fraction groups, then the last fraction digit, the exponent and the separator
+    wide = i.max() >= 1000
+    words = 12 if wide else 8
+    buf = bytearray(4 * words * x.size)
+    out = np.frombuffer(buf, np.uint32).reshape(x.size, words)
+    if wide:
+        i0 = i // 10**16
+        blank = i0 == 0
+        out[:, 0] = tables["head"][i0 + 10 * neg]
+        for col, q in enumerate(_quads(i - i0 * 10**16), 1):
+            out[:, col] = quad[q + (_LAST if col == 4 else _LEAD) * blank]
+            blank &= q == 0
+    else:
+        out[:, 0] = tables["small"][i + 1000 * neg]
+    out[:, -7] = tables["point"][np.where(f == 0, 4, np.where(fixed & (e < 0), -1 - e, 0))]
+    top = f // 10
+    last = f - top * 10
+    blank = last == 0
+    for col, q in zip(range(-3, -7, -1), _quads(top)[::-1]):
+        out[:, col] = quad[q + _TRAIL * blank]
+        blank &= q == 0
+    exp = np.where(fixed, 601, e + 300)
+    out[:, -2] = tables["digit"][np.where(last == 0, 10, last)] | tables["exp"][0][exp]
+    out[:, -1] = tables["exp"][1][exp]
+    cells = out.view(np.uint8)
+    sep = np.full(block.shape[1], ord(","), np.uint8)
+    sep[-1] = ord("\n")
+    cells.reshape(*block.shape, 4 * words)[:, :, -2] = sep
+    for n in np.flatnonzero(~fast):
+        text = b"%.17g" % x[n]
+        cells[n, :-2] = 0
+        cells[n, : len(text)] = np.frombuffer(text, np.uint8)
+    return buf.translate(None, b"\0")
+
+
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
     rows = max(1, CSV_CHUNK_CELLS // len(columns))
-    row_format = ",".join(["%.17g"] * len(columns)) + "\n"
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
         for start in range(0, len(columns[0]), rows):
-            block = np.column_stack([col[start : start + rows] for col in columns])
-            fh.write((row_format * len(block)) % tuple(block.ravel().tolist()))
+            block = np.column_stack([col[start : start + rows] for col in columns]).astype(np.float64, copy=False)
+            fh.write(_format_block(block))
 
 
 def _write_json(path: Path, body: dict) -> None:

@@ -193,7 +193,7 @@ def trace_distance_closed(state: InitialState, cos2):
         mean = state.nbar * c
         return _scalar_or_array(mean / (mean + 1.0))
     if isinstance(state, Coherent):
-        return _scalar_or_array(np.sqrt(-np.expm1(-abs(state.alpha) ** 2 * c)))
+        return _scalar_or_array(_coherent_distance(abs(state.alpha), c, 1.0))
     if isinstance(state, Fock):
         if state.n == 0:
             return _scalar_or_array(np.zeros_like(c))
@@ -201,6 +201,20 @@ def trace_distance_closed(state: InitialState, cos2):
         with np.errstate(divide="ignore"):
             return _scalar_or_array(-np.expm1(state.n * np.log1p(-c)))
     raise TypeError(f"unknown initial state {state!r}")
+
+
+def _coherent_distance(alpha_abs: float, c: np.ndarray, k: float) -> np.ndarray:
+    """sqrt(k (1 - exp(-|alpha|^2 c))), the coherent trace (k = 1) or HS (k = 2) law.
+
+    Where |alpha|^2 c is below the smallest normal float it would lose digits
+    or underflow to 0, so there the root is taken term by term: |alpha| sqrt(k c).
+    """
+    x = alpha_abs**2 * c
+    d = np.sqrt(k * -np.expm1(-x))
+    low = x < np.finfo(float).tiny
+    if np.any(low):
+        d = np.where(low, alpha_abs * np.sqrt(k * c), d)
+    return d
 
 
 def hs_distance_closed(state: InitialState, cos2):
@@ -218,7 +232,7 @@ def hs_distance_closed(state: InitialState, cos2):
         ratio = np.sqrt((m + 1.0) / (m + 0.5))  # = (2m + 2)/(2m + 1) without overflowing 2m
         return _scalar_or_array(ratio * trace_distance_closed(state, c))
     if isinstance(state, Coherent):
-        return _scalar_or_array(np.sqrt(2.0 * -np.expm1(-abs(state.alpha) ** 2 * c)))
+        return _scalar_or_array(_coherent_distance(abs(state.alpha), c, 2.0))
     if isinstance(state, Fock):
         return _scalar_or_array(_fock_hs_distance(state.n, c))
     raise TypeError(f"unknown initial state {state!r}")

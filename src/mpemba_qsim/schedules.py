@@ -10,11 +10,9 @@ specified through the phase itself.
 
 from __future__ import annotations
 
-import csv
 import math
 import sys
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Union
 
 import numpy as np
@@ -120,39 +118,14 @@ class CavityMode:
         return np.cos(self.phase(t)) ** 2
 
 
-class Tabulated:
-    """User-supplied cos^2 profile, linearly interpolated and clamped beyond the grid."""
-
-    def __init__(self, times, cos2_values):
-        t = np.asarray(times, dtype=float)
-        c = np.asarray(cos2_values, dtype=float)
-        if t.ndim != 1 or t.shape != c.shape or t.size < 2:
-            raise GridError("tabulated schedule needs two equal-length lists, >= 2 points")
-        if not (np.all(np.isfinite(t)) and np.all(np.diff(t) > 0)):
-            raise GridError("tabulated times must be finite and strictly ascending")
-        if not np.all((c >= 0.0) & (c <= 1.0)):
-            raise GridError("tabulated cos2 values must lie in [0, 1]")
-        self.times = t.copy()
-        self.cos2_values = c.copy()
-
-    def cos2(self, t):
-        t = _check_times(t)
-        return np.interp(t, self.times, self.cos2_values)
-
-    def phase(self, t):
-        return np.arccos(np.sqrt(self.cos2(t)))
-
-
-Schedule = Union[ExpDecay, SinExpDecay, Ramp, CavityMode, Tabulated]
+Schedule = Union[ExpDecay, SinExpDecay, Ramp, CavityMode]
 
 
 def default_tmax(schedule: Schedule) -> float:
     """Window covering the interesting dynamics: 6/gamma for decays, 2 t0 otherwise."""
     if isinstance(schedule, (ExpDecay, SinExpDecay)):
         return 6.0 / schedule.gamma
-    if isinstance(schedule, (Ramp, CavityMode)):
-        return 2.0 * schedule.t0
-    return float(schedule.times[-1])
+    return 2.0 * schedule.t0
 
 
 def time_grid(schedule: Schedule, steps: int = DEFAULT_GRID_STEPS, tmax: float | None = None) -> np.ndarray:
@@ -164,22 +137,3 @@ def time_grid(schedule: Schedule, steps: int = DEFAULT_GRID_STEPS, tmax: float |
     if not 0 < tmax < math.inf:
         raise GridError(f"tmax must be finite and > 0, got {tmax}")
     return np.linspace(0.0, float(tmax), int(steps))
-
-
-def tabulated_from_csv(path: str | Path) -> Tabulated:
-    """Load a two-column (t, cos2) CSV; a single header row is skipped if present."""
-    times: list[float] = []
-    values: list[float] = []
-    with open(path, newline="") as fh:
-        for i, row in enumerate(csv.reader(fh)):
-            if not row:
-                continue
-            try:
-                t, c = float(row[0]), float(row[1])
-            except (ValueError, IndexError):
-                if i == 0:
-                    continue  # header
-                raise GridError(f"{path}: cannot parse row {i + 1}: {row!r}")
-            times.append(t)
-            values.append(c)
-    return Tabulated(times, values)

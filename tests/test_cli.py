@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mpemba_qsim import cli, oscillator, tls, verify
 
@@ -376,7 +377,16 @@ def test_sidecar_that_is_a_directory_writes_nothing(tmp_path, capsys, command):
 
 
 class TestWriteCsv:
-    SPECIAL = [-0.0, 5e-324, 1e300, 0.1, 0.0, 1.0, -3.0, 42.0, 2.0**53, 1e16]
+    # Exact ties at the 17th digit (round half to even); 1e17, and 1e-14 and
+    # 1e98, doubles just below their power of ten whose 17 digits round up to
+    # it; the edges of the %g fixed-point range; tiny and subnormal values.
+    HARD = [
+        999999999999999.125, 123456789012345.375, 3 * 2.0**-24,
+        99999999999999999.0, 1e-14, 1e98,
+        1e-5, 1e-4, 9.9999999999999995e-5, 1e16, 1e17, 1e100,
+        1e-300, 2.2250738585072014e-308, 5e-324,
+    ]
+    SPECIAL = [-0.0, 5e-324, 1e300, 0.1, 0.0, 1.0, -3.0, 42.0, 2.0**53, 1e16] + HARD + [-x for x in HARD]
 
     @staticmethod
     def reference(header, columns):
@@ -398,3 +408,53 @@ class TestWriteCsv:
         out = tmp_path / "t.csv"
         cli._write_csv(out, header, columns)
         assert out.read_bytes() == self.reference(header, columns)
+
+    def test_byte_identical_when_every_integer_part_is_below_1000(self, tmp_path):
+        # the usual curve cells: one integer word per slot instead of five
+        small = [x for x in self.SPECIAL if abs(x) < 1000] + [float("nan"), float("inf"), -float("inf")]
+        rng = np.random.default_rng(5)
+        values = rng.uniform(-999.9, 999.9, size=3 * 2801) * 10.0 ** rng.integers(-60, 1, size=3 * 2801)
+        values[: len(small)] = small
+        columns = list(values.reshape(3, -1))
+        out = tmp_path / "t.csv"
+        cli._write_csv(out, ["a", "b", "c"], columns)
+        assert out.read_bytes() == self.reference(["a", "b", "c"], columns)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        bits=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64),
+        ncols=st.sampled_from([1, 2, 3, 7, 41]),
+        offset=st.integers(-2, 2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_raw_bit_patterns_match_the_reference(self, tmp_path_factory, bits, ncols, offset, seed):
+        rows = cli.CSV_CHUNK_CELLS // ncols + offset
+        cells = np.random.default_rng(seed).integers(0, 2**64, size=rows * ncols, dtype=np.uint64)
+        cells[: len(bits)] = bits[: len(cells)]
+        columns = list(cells.view(np.float64).reshape(ncols, rows))
+        header = [f"c{i}" for i in range(ncols)]
+        out = tmp_path_factory.mktemp("csv") / "t.csv"
+        cli._write_csv(out, header, columns)
+        assert out.read_bytes() == self.reference(header, columns)
+
+
+def test_cli_cells_are_canonical_17g_text(tmp_path):
+    """Every cell the CLI writes is the '%.17g' spelling of the double it parses to.
+
+    The runs cover exponent tails near 1e-52, the 3.7e-33 ramp plateau,
+    negative energies and Bloch components, and tau = 0.
+    """
+    osc, tls_out, traj = tmp_path / "osc.csv", tmp_path / "tls.csv", tmp_path / "traj.csv"
+    common = ["--steps", "2001"]
+    assert cli.main(["oscillator", "--metric", "hs", "--states", "number:20", "thermal:3",
+                     "--tmax", "120", "--out", str(osc), *common]) == 0
+    assert cli.main(["tls", "--model", "jcm", "--schedule", "ramp", "--out", str(tls_out),
+                     "--traj-out", str(traj), *common]) == 0
+    cells = [cell for path in (osc, tls_out, traj) for line in path.read_text().splitlines()[1:]
+             for cell in line.split(",")]
+    assert len(cells) == 2001 * (3 + 5 + 7)
+    assert [cell for cell in cells if cell != "%.17g" % float(cell)] == []
+    assert any(cell.endswith("e-52") for cell in cells)
+    assert any(cell.startswith("3.7") and cell.endswith("e-33") for cell in cells)
+    assert any(cell.startswith("-") for cell in cells)
+    assert cells[0] == "0"

@@ -13,9 +13,7 @@ from pathlib import Path
 import mpemba_qsim
 
 SRC = Path(mpemba_qsim.__file__).parent
-KEEP = {
-    "tabulated_from_csv": "documented library API for user-supplied cos^2 profiles",
-}
+KEEP: dict[str, str] = {}
 
 
 def _read_names(trees) -> set[str]:

@@ -303,9 +303,10 @@ def test_fock_hs_distance_keeps_its_digits_at_small_cos2():
 def test_distance_laws_against_60_digit_references_at_the_extremes():
     """Relative error of every zero-temperature law against mpmath at 60 digits.
 
-    Cases whose exact value, or whose product |alpha|^2 c or nbar c, lies
-    below the smallest normal float are skipped: there the float laws
-    underflow (coherent:1e-150 at c = 1e-150 gives 0 against 1e-225).
+    Cases whose exact value lies below the smallest normal float are skipped.
+    The coherent laws are checked where |alpha|^2 c is subnormal or underflows
+    too (coherent:1e-150 at c = 1e-150 gives 1e-225), since they take the root
+    term by term there.
     """
     mp = pytest.importorskip("mpmath")
     tiny = np.finfo(float).tiny
@@ -321,9 +322,13 @@ def test_distance_laws_against_60_digit_references_at_the_extremes():
     ]
     worst = {}
 
+    underflowed = []
+
     def check(law, got, exact, product=None):
-        if exact < tiny or (product is not None and product < tiny):
+        if exact < tiny:
             return
+        if product is not None and product < tiny:
+            underflowed.append(law)
         worst[law] = max(worst.get(law, 0.0), float(abs(got - exact) / exact))
 
     with mp.workdps(60):
@@ -356,4 +361,7 @@ def test_distance_laws_against_60_digit_references_at_the_extremes():
                 check("jcm trace", tls.jcm_trace_distance(r, c), mp.sqrt(up**2 * cm**2 + perp2 * cm / 4))
     bounds = {law: 1e-11 if law.startswith("binomial") else 1e-15 for law in worst}
     assert len(worst) == 8
+    # |alpha|^2 c below tiny: alpha 1e-150 at c = 1e-300, 1e-150, 1e-17 and
+    # 1e-8, alpha 1e-75 at c = 1e-300 and alpha 1e-8 at c = 1e-300
+    assert sorted(underflowed) == ["coherent hs"] * 6 + ["coherent trace"] * 6
     assert {law: err for law, err in worst.items() if err > bounds[law]} == {}, worst

@@ -6,7 +6,7 @@ import pytest
 
 from mpemba_qsim import schedules
 from mpemba_qsim.errors import GridError, TimeDomainError
-from mpemba_qsim.schedules import CavityMode, ExpDecay, Ramp, SinExpDecay, Tabulated
+from mpemba_qsim.schedules import CavityMode, ExpDecay, Ramp, SinExpDecay
 
 
 class TestExpDecay:
@@ -91,54 +91,6 @@ class TestCavityMode:
         assert (sched.phase(1.0) - sched.phase(1.0 - eps)) / eps < 1e-5
 
 
-class TestTabulated:
-    def test_interpolation_and_clamping(self):
-        sched = Tabulated([0.0, 1.0, 2.0], [1.0, 0.5, 0.2])
-        assert float(sched.cos2(0.5)) == pytest.approx(0.75, abs=1e-15)
-        assert float(sched.cos2(10.0)) == pytest.approx(0.2, abs=1e-15)
-
-    def test_validation(self):
-        with pytest.raises(GridError):
-            Tabulated([0.0, 0.0], [1.0, 0.5])
-        with pytest.raises(GridError):
-            Tabulated([0.0, 1.0], [1.0, 1.5])
-        with pytest.raises(GridError):
-            Tabulated([0.0], [1.0])
-        for times, cos2 in (
-            ([0.0, math.nan, 2.0], [1.0, 0.5, 0.0]),
-            ([0.0, 1.0, math.inf], [1.0, 0.5, 0.0]),
-            ([-math.inf, 1.0, 2.0], [1.0, 0.5, 0.0]),
-            ([0.0, 1.0, 2.0], [1.0, math.nan, 0.0]),
-        ):
-            with pytest.raises(GridError):
-                Tabulated(times, cos2)
-
-    def test_csv_loader(self, tmp_path):
-        path = tmp_path / "profile.csv"
-        path.write_text("t,cos2\n0.0,1.0\n1.0,0.4\n2.0,0.1\n")
-        sched = schedules.tabulated_from_csv(path)
-        assert float(sched.cos2(1.0)) == pytest.approx(0.4, abs=1e-15)
-
-    def test_csv_loader_no_header(self, tmp_path):
-        path = tmp_path / "p.csv"
-        path.write_text("0.0,1.0\n2.0,0.0\n")
-        sched = schedules.tabulated_from_csv(path)
-        assert float(sched.cos2(1.0)) == pytest.approx(0.5, abs=1e-15)
-
-    @pytest.mark.parametrize("row", ["1.0,nan", "nan,0.5"])
-    def test_csv_loader_rejects_non_finite_row(self, tmp_path, row):
-        path = tmp_path / "nan.csv"
-        path.write_text(f"t,cos2\n0.0,1.0\n{row}\n3.0,0.0\n")
-        with pytest.raises(GridError):
-            schedules.tabulated_from_csv(path)
-
-    def test_csv_loader_rejects_garbage(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("0.0,1.0\nx,y\n")
-        with pytest.raises(GridError):
-            schedules.tabulated_from_csv(path)
-
-
 class TestCommonInvariants:
     @pytest.mark.parametrize(
         "sched",
@@ -147,9 +99,8 @@ class TestCommonInvariants:
             SinExpDecay(1.0),
             Ramp(1.5),
             CavityMode(0.8),
-            Tabulated([0.0, 1.0, 3.0], [1.0, 0.3, 0.0]),
         ],
-        ids=["exp", "sinexp", "ramp", "cavity", "tabulated"],
+        ids=["exp", "sinexp", "ramp", "cavity"],
     )
     def test_cos2_in_unit_interval_and_consistent_with_phase(self, sched):
         t = np.linspace(0.0, 6.0, 301)
