@@ -14,7 +14,6 @@ from .crossings import (
     CrossingPair,
     CrossingReport,
     DistanceSeries,
-    alpha_window_scan,
     detect_crossings,
     pairwise_crossings,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "SinExpDecay",
     "Thermal",
     "ZERO_TEMPERATURE",
-    "alpha_window_scan",
     "detect_crossings",
     "evolve_closed_form",
     "hs_distance",

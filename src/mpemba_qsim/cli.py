@@ -18,10 +18,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, metrics, oscillator, tls, verify
+from . import __version__, oscillator, tls, verify
 from .crossings import DistanceSeries, pairwise_crossings
 from .errors import StateError, TruncationError
-from .schedules import CavityMode, ExpDecay, Ramp, SinExpDecay, time_grid
+from .schedules import CavityMode, ExpDecay, Ramp, SinExpDecay, default_tmax, time_grid
 from .states import ZERO_TEMPERATURE, BathThermal, BlochVector
 
 _SCHEDULES = {"exp": ExpDecay, "sinexp": SinExpDecay, "ramp": Ramp, "cavity": CavityMode}
@@ -259,7 +259,7 @@ def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None
 
 def _write_json(path: Path, body: dict) -> None:
     with open(path, "w", newline="\n") as fh:
-        fh.write(json.dumps(body, indent=2, sort_keys=True))
+        fh.write(json.dumps(body, indent=2, sort_keys=True, allow_nan=False))
         fh.write("\n")
 
 
@@ -278,6 +278,16 @@ def _check_outputs(*named: tuple[str, str | Path | None]) -> None:
         if not full.parent.is_dir():
             raise ValueError(f"{name} {path}: directory {full.parent} does not exist")
         seen[full] = name
+
+
+def _tau_end(schedule, tmax: float | None, tau_scale: float, scale_flag: str) -> float:
+    """Scaled time tau_scale * tmax at the window end; a usage error when a valid
+    ``--tmax`` puts it past the float range (time_grid rejects an invalid one)."""
+    tmax = default_tmax(schedule) if tmax is None else tmax
+    end = tau_scale * tmax
+    if 0 < tmax < math.inf and not math.isfinite(end):
+        raise ValueError(f"--tmax {tmax:g} with {scale_flag} puts the scaled window end past the float range")
+    return end
 
 
 def _emit_curves(out: Path, tau, labels, columns, extra_header, extra_columns, meta: dict) -> None:
@@ -323,6 +333,7 @@ def cmd_oscillator(args) -> int:
         args.states = [oscillator.Thermal(3.0), oscillator.Coherent(1.0), oscillator.Fock(1)]
     _check_outputs(("--out", args.out), ("its sidecar", Path(args.out).with_suffix(".json")))
     schedule = _SCHEDULES[args.schedule](args.gamma)
+    _tau_end(schedule, args.tmax, args.gamma, f"--gamma {args.gamma:g}")
     grid = time_grid(schedule, args.steps, args.tmax)
     tau = args.gamma * grid
     cos2 = schedule.cos2(grid)
@@ -344,18 +355,15 @@ def cmd_oscillator(args) -> int:
 def _tls_columns(args, bath, r, sums, cos2) -> tuple[np.ndarray, np.ndarray | None]:
     """Distance column of one Bloch vector, and its energy column for jcm from the bath ``sums``."""
     if args.model == "pair":
-        if bath.is_zero_temperature:
-            # at zero bath temperature the pair obeys the jcm law in mu_cos2
-            return tls.jcm_trace_distance(r, cos2), None
-        rho_ee, _, rho_eg = tls.tls_pair_components(r, bath, cos2)
-        return metrics.traceless_qubit_distance(rho_ee - bath.p_excited, rho_eg), None
+        return tls.jcm_trace_distance(r, cos2, bath.p_excited), None
     rho_ee, rho_eg = tls.jcm_thermal_series(r, sums)
-    energy = tls.tls_energy(rho_ee)
     if bath.is_zero_temperature:
-        return tls.jcm_trace_distance(r, cos2), energy
-    # Finite-temperature boson bath: distance measured to the zero-temperature
-    # relaxation point diag(0, 1), the fixed reference all the figure curves share.
-    return metrics.traceless_qubit_distance(rho_ee, rho_eg), energy
+        dist = tls.jcm_trace_distance(r, cos2)
+    else:
+        # Finite-temperature boson bath: distance measured to the zero-temperature
+        # relaxation point diag(0, 1), the fixed reference all the figure curves share.
+        dist = np.hypot(rho_ee, np.abs(rho_eg))
+    return dist, tls.tls_energy(rho_ee)
 
 
 def cmd_tls(args) -> int:
@@ -363,16 +371,19 @@ def cmd_tls(args) -> int:
         args.bloch = [BlochVector(0.0, 0.0, 1.0), BlochVector(0.5, 0.5, 0.5)]
     if args.schedule in ("exp", "sinexp"):
         schedule = _SCHEDULES[args.schedule](args.gamma)
-        tau_scale = args.gamma
+        tau_scale, scale_flag = args.gamma, f"--gamma {args.gamma:g}"
     else:
         schedule = _SCHEDULES[args.schedule](args.t0)
-        tau_scale = 1.0 / args.t0
+        tau_scale, scale_flag = 1.0 / args.t0, f"--t0 {args.t0:g}"
     if not math.isfinite(tau_scale):
         raise ValueError(f"--t0 {args.t0:g} is too small: 1/t0 overflows")
+    tau_end = _tau_end(schedule, args.tmax, tau_scale, scale_flag)
     if args.traj_out and (args.model != "jcm" or not args.beta.is_zero_temperature):
         raise ValueError("--traj-out is only available for --model jcm at --beta inf")
     if not math.isfinite(args.omega_t0):
         raise ValueError(f"--omega-t0 must be finite, got {args.omega_t0}")
+    if args.traj_out and math.isfinite(tau_end) and not math.isfinite(args.omega_t0 * tau_end):
+        raise ValueError(f"--omega-t0 {args.omega_t0:g} times the scaled window end {tau_end:g} overflows")
     sidecar = Path(args.out).with_suffix(".json")
     _check_outputs(("--out", args.out), ("its sidecar", sidecar), ("--traj-out", args.traj_out))
 

@@ -12,7 +12,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import GridError
-from .oscillator import Coherent, Thermal, trace_distance_closed
 
 DEFAULT_SIGN_TOL = 1e-9
 
@@ -119,33 +118,3 @@ def pairwise_crossings(
             report.pairs.extend(detect_crossings(series[i], series[j], tol).pairs)
     return report
 
-
-def alpha_window_scan(
-    nbar_a: float,
-    alphas: Sequence[float],
-    grid: Sequence[float],
-    tol: float = DEFAULT_SIGN_TOL,
-) -> list[dict]:
-    """For each |alpha|, does the coherent curve cross the thermal one in the window?
-
-    The grid is in units of the decay rate (cos2 = e^-tau).  A crossing counts
-    only when the thermal state starts strictly farther from the ground state,
-    the scenario in which the intersection signals anomalous relaxation; above
-    |alpha| = sqrt(ln(1/(1 - (nbar/(nbar+1))^2))) the coherent state starts
-    farther and the pair is reported as not crossing.
-    """
-    grid = np.asarray(grid, dtype=float)
-    cos2 = np.exp(-grid)
-    thermal = DistanceSeries(
-        f"thermal:{nbar_a:g}", grid, trace_distance_closed(Thermal(nbar_a), cos2)
-    )
-    results = []
-    for alpha in alphas:
-        coherent = DistanceSeries(
-            f"coherent:{alpha:g}", grid, trace_distance_closed(Coherent(alpha), cos2)
-        )
-        delta0 = float(thermal.values[0] - coherent.values[0])
-        report = detect_crossings(thermal, coherent, tol)
-        has = bool(delta0 > tol and report.pairs[0].crossing_times)
-        results.append({"alpha": float(alpha), "has_crossing": has})
-    return results

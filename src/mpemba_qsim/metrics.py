@@ -1,19 +1,35 @@
-"""Distance measures between quantum states.
+"""Distance measures between quantum states given as density matrices.
 
-The matrix routes check the closed-form laws in ``verify`` and the tests; the
-CLI's finite-temperature qubit curves use :func:`traceless_qubit_distance`.
+The closed-form laws in :mod:`oscillator` and :mod:`tls` are checked against
+these matrix routes in ``verify`` and the tests.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError
-from .linalg import eig_hermitian
+from .errors import DimensionError, HermiticityError
 
+HERMITICITY_TOL = 1e-10  # max asymmetry eig_hermitian accepts before symmetrizing
 # Eigenvalues below this are round-off of "equal states" and clamped to 0 so
 # trace_distance(rho, rho) is exactly 0.
 EIGENVALUE_CLIP = 1e-13
+
+
+def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
+
+    Asymmetry up to ``HERMITICITY_TOL`` is treated as round-off and
+    symmetrized away; anything larger raises, so bugs are not masked.
+    """
+    m = np.asarray(m, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise DimensionError(f"expected a square matrix, got shape {m.shape}")
+    asym = float(np.max(np.abs(m - m.conj().T)))
+    if asym > HERMITICITY_TOL:
+        raise HermiticityError(f"matrix is not Hermitian: max asymmetry {asym:.3e}")
+    w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
+    return w, v
 
 
 def _check_same_dims(rho: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -30,18 +46,6 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     w, _ = eig_hermitian(rho - sigma)
     w = np.where(np.abs(w) < EIGENVALUE_CLIP, 0.0, w)
     return float(0.5 * np.sum(np.abs(w)))
-
-
-def traceless_qubit_distance(d_ee, d_eg) -> np.ndarray:
-    """Trace distance of two qubit states whose difference is the traceless
-    [[d_ee, d_eg], [conj(d_eg), -d_ee]], elementwise over arrays.
-
-    The eigenvalues are +-sqrt(d_ee^2 + |d_eg|^2), so the distance is that
-    root, clamped to 0 below EIGENVALUE_CLIP as in :func:`trace_distance`.
-    """
-    d_eg = np.asarray(d_eg)
-    root = np.sqrt(d_ee**2 + d_eg.real**2 + d_eg.imag**2)
-    return np.where(root < EIGENVALUE_CLIP, 0.0, root)
 
 
 def hs_distance(rho: np.ndarray, sigma: np.ndarray) -> float:

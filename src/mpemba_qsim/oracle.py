@@ -24,6 +24,11 @@ uncoupled states |g, 0> and |e, dim-1>.  All blocks are diagonalized
 numerically in one batched call; each initial basis state |c, k> then
 evolves into at most two amplitudes, on mode levels k-1, k and k+1, so the
 reduced state costs O(dim) and no 2dim x 2dim matrix is ever formed.
+
+The qubit-pair oracle runs the same engine with a two-level partner: a qubit
+is a boson mode truncated to levels {0, 1} (ground, excited), its exchange
+coupling is the JCM coupling on that mode, and the partner's free term
+sigma_z / 2 differs from b+ b only by a constant, a global phase.
 """
 
 from __future__ import annotations
@@ -34,7 +39,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import linalg
 from .errors import DimensionError, StateError, TruncationError, TruncationWarning
 from .oscillator import (
     TAIL_FAIL_TOL,
@@ -185,23 +189,15 @@ def oscillator_oracle(
     return _finalize_reduced(reduced, dim, f"oscillator oracle(dim={dim})")
 
 
-# Composite qubit x qubit generators: free sigma_z sum and the exchange coupling.
-_PAIR_FREE = linalg.tensor(linalg.PAULI_Z, np.eye(2)) + linalg.tensor(np.eye(2), linalg.PAULI_Z)
-_PAIR_EXCHANGE = linalg.tensor(linalg.SIGMA_MINUS, linalg.SIGMA_PLUS) + linalg.tensor(
-    linalg.SIGMA_PLUS, linalg.SIGMA_MINUS
-)
-
-
 def tls_pair_oracle(
     r: BlochVector, bath: BathThermal, mu: float, omega_t: float = 0.0
 ) -> np.ndarray:
-    """Evolve qubit x thermal qubit with the exchange coupling and reduce."""
-    rho0 = linalg.tensor(
-        bloch_density_matrix(r),
-        np.diag([bath.p_excited, bath.p_ground]).astype(complex),
-    )
-    u = linalg.propagator(0.5 * omega_t * _PAIR_FREE + mu * _PAIR_EXCHANGE)
-    return linalg.partial_trace_b(u @ rho0 @ u.conj().T, 2, 2)
+    """Evolve qubit x thermal qubit with the exchange coupling and reduce.
+
+    The partner qubit is the JCM mode on levels {0, 1} with populations
+    (p_ground, p_excited).
+    """
+    return _jcm_evolve(bloch_density_matrix(r), np.array([bath.p_ground, bath.p_excited]), mu, omega_t)
 
 
 def _jcm_sector_propagators(phi: float, dim: int) -> np.ndarray:

@@ -20,7 +20,6 @@ from typing import Union
 import numpy as np
 
 from .errors import DimensionError, StateError, TruncationError, TruncationWarning
-from .linalg import projector
 from .schedules import check_cos2
 
 DEFAULT_FOCK_DIM = 40
@@ -175,7 +174,8 @@ def evolve_closed_form(
         return np.diag(binomial_populations(state.n, cos2, dim)).astype(complex)
     if isinstance(state, Coherent):
         amp = state.alpha * np.exp(-1j * omega0_t) * math.sqrt(cos2)
-        return projector(coherent_vector(amp, dim))
+        v = coherent_vector(amp, dim)
+        return np.outer(v, v.conj())
     raise TypeError(f"unknown initial state {state!r}")
 
 

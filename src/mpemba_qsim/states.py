@@ -9,7 +9,6 @@ from typing import Iterable
 import numpy as np
 
 from .errors import StateError
-from .linalg import PAULI_X, PAULI_Y, PAULI_Z
 
 BLOCH_NORM_TOL = 1e-12
 
@@ -90,6 +89,6 @@ ZERO_TEMPERATURE = BathThermal(math.inf)
 
 def bloch_density_matrix(b: BlochVector) -> np.ndarray:
     """rho = (1 + r . sigma) / 2 in the {excited, ground} basis."""
-    eye = np.eye(2, dtype=complex)
-    return 0.5 * (eye + b.rx * PAULI_X + b.ry * PAULI_Y + b.rz * PAULI_Z)
+    coh = complex(b.rx, -b.ry)
+    return 0.5 * np.array([[1.0 + b.rz, coh], [coh.conjugate(), 1.0 - b.rz]], dtype=complex)
 

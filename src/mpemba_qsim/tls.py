@@ -140,18 +140,23 @@ def jcm_bloch_components(r: BlochVector, phi, omega_t=0.0):
     )
 
 
-def jcm_trace_distance(r: BlochVector, phi_cos2):
-    """Trace distance from the zero-temperature evolved state to diag(0, 1).
+def jcm_trace_distance(r: BlochVector, phi_cos2, p_excited: float = 0.0):
+    """Trace distance from the evolved qubit to its relaxation point,
+    sqrt(w^2 c^2 + r_perp^2 c / 4) with w = (1 + rz)/2 - p_excited.
 
-    ``phi_cos2`` is a scalar (float result) or an array (array result).  The
-    qubit-pair model at zero bath temperature obeys the same law in mu_cos2.
+    With p_excited = 0 this is the qubit-boson model at zero temperature
+    (relaxation point diag(0, 1)).  With the partner qubit's excited weight
+    and c = mu_cos2 it is the qubit pair (relaxation point diag(p_e, p_g)),
+    whose partner is a boson mode truncated to two levels.  ``phi_cos2`` is
+    a scalar (float result) or an array (array result).
     """
     c = check_cos2(phi_cos2, "phi_cos2")
-    up = 0.5 * (1.0 + r.rz)
-    d = np.sqrt(up**2 * c**2 + 0.25 * (r.rx**2 + r.ry**2) * c)
+    # (1 + rz)/2 - p_excited, not (rz + p_ground - p_excited)/2: p_ground is rounded
+    w = 0.5 * (1.0 + r.rz) - p_excited
+    d = np.sqrt(w**2 * c**2 + 0.25 * (r.rx**2 + r.ry**2) * c)
     low = d < 1.5e-154  # the squares underflow: take the root term by term
     if np.any(low):
-        d = np.where(low, np.hypot(up * c, 0.5 * r.r_perp * np.sqrt(c)), d)
+        d = np.where(low, np.hypot(w * c, 0.5 * r.r_perp * np.sqrt(c)), d)
     return float(d) if d.ndim == 0 else d
 
 

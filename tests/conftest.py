@@ -4,13 +4,23 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from mpemba_qsim.crossings import DEFAULT_SIGN_TOL, DistanceSeries, detect_crossings
 from mpemba_qsim.errors import DimensionError, StateError
+from mpemba_qsim.metrics import eig_hermitian
+from mpemba_qsim.oscillator import Coherent, Thermal, trace_distance_closed
 from mpemba_qsim.states import BlochVector
 
 # Tolerances of validate_density_matrix.
 DENSITY_TRACE_TOL = 1e-10
 DENSITY_HERM_TOL = 1e-12
 DENSITY_EIG_FLOOR = -1e-10
+
+# Qubit operators of the dense test references; index 0 is |e>, 1 is |g>.
+PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
+PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)   # |e><g|
+SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # |g><e|
 
 
 @pytest.fixture
@@ -78,3 +88,51 @@ def validate_density_matrix(rho: np.ndarray, what: str = "state") -> None:
     w = np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)
     if float(w[0]) < DENSITY_EIG_FLOOR:
         raise StateError(f"{what}: negative eigenvalue {w[0]:.3e}")
+
+
+def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product; the first factor indexes the slow (outer) subsystem."""
+    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+
+
+def partial_trace_b(rho: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
+    """Trace out the second tensor factor of a (dim_a*dim_b)-dim operator."""
+    rho = np.asarray(rho, dtype=complex)
+    n = dim_a * dim_b
+    if rho.shape != (n, n):
+        raise DimensionError(
+            f"expected a {n}x{n} matrix for dims ({dim_a},{dim_b}), got {rho.shape}"
+        )
+    return np.einsum("ijkj->ik", rho.reshape(dim_a, dim_b, dim_a, dim_b))
+
+
+def propagator(h: np.ndarray) -> np.ndarray:
+    """exp(-i H) for a Hermitian generator H (all time integrals inside H)."""
+    w, v = eig_hermitian(h)
+    return (v * np.exp(-1j * w)) @ v.conj().T
+
+
+def alpha_window_scan(nbar_a, alphas, grid, tol=DEFAULT_SIGN_TOL) -> list[dict]:
+    """For each |alpha|, does the coherent curve cross the thermal one in the window?
+
+    The grid is in units of the decay rate (cos2 = e^-tau).  A crossing counts
+    only when the thermal state starts strictly farther from the ground state,
+    the scenario in which the intersection signals anomalous relaxation; above
+    |alpha| = sqrt(ln(1/(1 - (nbar/(nbar+1))^2))) the coherent state starts
+    farther and the pair is reported as not crossing.
+    """
+    grid = np.asarray(grid, dtype=float)
+    cos2 = np.exp(-grid)
+    thermal = DistanceSeries(
+        f"thermal:{nbar_a:g}", grid, trace_distance_closed(Thermal(nbar_a), cos2)
+    )
+    results = []
+    for alpha in alphas:
+        coherent = DistanceSeries(
+            f"coherent:{alpha:g}", grid, trace_distance_closed(Coherent(alpha), cos2)
+        )
+        delta0 = float(thermal.values[0] - coherent.values[0])
+        report = detect_crossings(thermal, coherent, tol)
+        has = bool(delta0 > tol and report.pairs[0].crossing_times)
+        results.append({"alpha": float(alpha), "has_crossing": has})
+    return results

@@ -10,14 +10,14 @@ import warnings
 import numpy as np
 import pytest
 
-from mpemba_qsim import linalg, metrics, oracle, oscillator, tls
-from mpemba_qsim.crossings import DistanceSeries, alpha_window_scan, detect_crossings
+from mpemba_qsim import metrics, oracle, oscillator, tls
+from mpemba_qsim.crossings import DistanceSeries, detect_crossings
 from mpemba_qsim.errors import DimensionError, StateError, TruncationWarning
 from mpemba_qsim.oscillator import Coherent, Fock, Thermal
 from mpemba_qsim.schedules import CavityMode, ExpDecay, Ramp, time_grid
 from mpemba_qsim.states import BathThermal, BlochVector, ZERO_TEMPERATURE
 
-from conftest import validate_density_matrix
+from conftest import alpha_window_scan, propagator, validate_density_matrix
 
 EXCITED = BlochVector(0.0, 0.0, 1.0)
 TILTED = BlochVector(0.5, 0.5, 0.5)
@@ -279,7 +279,7 @@ def test_criterion_09_property_suites():
     worst_u = 0.0
     for n in (2, 8, 32):
         m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        u = linalg.propagator((m + m.conj().T) / 2)
+        u = propagator((m + m.conj().T) / 2)
         worst_u = max(worst_u, float(np.max(np.abs(u @ u.conj().T - np.eye(n)))))
     for w, v in oracle._sector_eigensystems(6):  # the blocks oscillator_oracle applies
         u = (v * np.exp(-0.9j * w)) @ v.T

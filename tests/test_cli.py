@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -151,6 +155,36 @@ class TestTlsCommand:
         # fully swapped: distance to the bath-thermal point decays to 0
         assert data[-1, 1] == pytest.approx(0.0, abs=1e-2)
 
+    def test_pair_keeps_distances_below_the_old_clip(self, tmp_path):
+        # (1 - p_e) e^-tau for the excited start: 6.84e-14 at tau = 30 and
+        # 3.11e-18 at tau = 40, both once clipped to 0
+        out = tmp_path / "warm.csv"
+        rc = cli.main(["tls", "--model", "pair", "--beta", "1", "--schedule", "exp",
+                       "--tmax", "40", "--steps", "5", "--bloch", "0,0,1", "--out", str(out)])
+        assert rc == 0
+        _, data = read_csv(out)
+        assert data[:, 0].tolist() == [0.0, 10.0, 20.0, 30.0, 40.0]
+        for row, approx in ((3, 6.84e-14), (4, 3.11e-18)):
+            exact = math.exp(1.0) / (1.0 + math.exp(1.0)) * math.exp(-data[row, 0])
+            assert abs(data[row, 1] - exact) <= 1e-12 * exact
+            assert abs(exact - approx) <= 0.01 * approx
+
+    def test_thermal_jcm_keeps_distances_below_the_old_clip(self, tmp_path):
+        # the ground start gains only the n = 1 bath term, e^-32 sin^2(phi):
+        # 1.85e-15 at tau = 0.5 and 1.27e-14 at tau = 1, both once clipped to 0
+        out = tmp_path / "cold.csv"
+        rc = cli.main(["tls", "--model", "jcm", "--beta", "32", "--bloch", "0,0,-1", "0,0,1",
+                       "--schedule", "ramp", "--steps", "5", "--out", str(out)])
+        assert rc == 0
+        _, data = read_csv(out)
+        assert data[:, 0].tolist() == [0.0, 0.5, 1.0, 1.5, 2.0]
+        weights = [math.exp(-32.0 * n) * -math.expm1(-32.0) for n in range(3)]
+        for row, approx in ((1, 1.85e-15), (2, 1.27e-14)):
+            phi = 0.5 * math.pi * data[row, 0] ** 2
+            exact = sum(w * math.sin(phi * math.sqrt(n)) ** 2 for n, w in enumerate(weights))
+            assert abs(data[row, 1] - exact) <= 1e-12 * exact
+            assert abs(exact - approx) <= 0.01 * approx
+
     @pytest.mark.parametrize("beta", ["710", "1e6"])
     def test_pair_past_exp_overflow(self, tmp_path, beta):
         out = tmp_path / "cold.csv"
@@ -246,7 +280,7 @@ class TestVerifyCommand:
         assert "oscillator_thermal" in names and "crossing_analytics" in names
         assert list(verify._SUITES) == list(verify.DEFAULT_TOLERANCES) == names
         cases = [s["cases"] for s in report["suites"]]
-        assert cases == [33, 33, 33, 33, 200, 100, 100, 33, 1, 6, 100, 3]
+        assert cases == [33, 33, 33, 33, 200, 100, 100, 33, 1, 2, 100, 3]
         tolerances = [s["tolerance"] for s in report["suites"]]
         assert tolerances == [1e-6, 1e-8, 1e-8, 1e-9, 1e-8, 1e-8, 1e-8, 1e-12, 1e-8, 1e-10, 1e-12, 5e-3]
         assert "np." not in (tmp_path / "report.json").read_text()
@@ -325,6 +359,12 @@ class TestVerifyCommand:
         ["tls", "--bloch", "nan,0,0"],
         ["tls", "--model", "pair", "--traj-out", "{tmp}/t.csv"],
         ["tls", "--omega-t0", "nan", "--traj-out", "{tmp}/t.csv"],
+        # scaled window ends, and trajectory phases, past the float range
+        ["oscillator", "--gamma", "1e10", "--tmax", "1e300", "--steps", "3"],
+        ["tls", "--schedule", "exp", "--gamma", "1e10", "--tmax", "1e300", "--steps", "3"],
+        ["tls", "--schedule", "ramp", "--t0", "1e-300", "--tmax", "1e10", "--steps", "3"],
+        ["tls", "--model", "jcm", "--schedule", "ramp", "--t0", "0.5", "--tmax", "1e10", "--steps", "3",
+         "--traj-out", "{tmp}/T.csv", "--omega-t0", "1e300"],
         ["tls", "--beta", "0.5", "--traj-out", "{tmp}/t.csv"],
         # the removed --tol-overrides flag is refused in every spelling
         ["verify", "--tol-overrides", "nope=1e-3"],
@@ -458,3 +498,34 @@ def test_cli_cells_are_canonical_17g_text(tmp_path):
     assert any(cell.startswith("3.7") and cell.endswith("e-33") for cell in cells)
     assert any(cell.startswith("-") for cell in cells)
     assert cells[0] == "0"
+
+
+@pytest.mark.parametrize(
+    "argv, flags",
+    [
+        (["oscillator", "--gamma", "1e10", "--tmax", "1e300"], ["--tmax", "--gamma"]),
+        (["tls", "--schedule", "ramp", "--t0", "1e-300", "--tmax", "1e10"], ["--tmax", "--t0"]),
+        (["tls", "--t0", "0.5", "--tmax", "1e10", "--traj-out", "{tmp}/T.csv", "--omega-t0", "1e300"],
+         ["--omega-t0"]),
+    ],
+)
+def test_overflowing_window_names_its_flags(tmp_path, capsys, argv, flags):
+    argv = [a.format(tmp=tmp_path) for a in argv] + ["--steps", "3", "--out", str(tmp_path / "x.csv")]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert "error:" in last and all(flag in last for flag in flags)
+
+
+@pytest.mark.parametrize("argv", [["--version"], ["tls", "--model", "pair", "--beta", "1", "--steps", "5"]])
+def test_fresh_process_runs_cleanly(tmp_path, argv):
+    # a fresh interpreter on src, as the benchmark starts the CLI: an import
+    # of a deleted module, or a warning at import, shows up here
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    if argv[0] != "--version":
+        argv = argv + ["--out", str(tmp_path / "x.csv")]
+    run = subprocess.run([sys.executable, "-m", "mpemba_qsim.cli", *argv], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert (run.returncode, run.stderr) == (0, "")

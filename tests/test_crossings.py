@@ -4,15 +4,12 @@ import numpy as np
 import pytest
 
 from mpemba_qsim import crossings, oscillator, tls
-from mpemba_qsim.crossings import (
-    DistanceSeries,
-    alpha_window_scan,
-    detect_crossings,
-    pairwise_crossings,
-)
+from mpemba_qsim.crossings import DistanceSeries, detect_crossings, pairwise_crossings
 from mpemba_qsim.errors import GridError
 from mpemba_qsim.schedules import CavityMode, ExpDecay, Ramp, time_grid
 from mpemba_qsim.states import BlochVector
+
+from conftest import alpha_window_scan
 
 EXCITED = BlochVector(0.0, 0.0, 1.0)
 TILTED = BlochVector(0.5, 0.5, 0.5)

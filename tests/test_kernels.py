@@ -22,7 +22,7 @@ from mpemba_qsim.oscillator import Coherent, Fock, Thermal
 from mpemba_qsim.schedules import Ramp
 from mpemba_qsim.states import BathThermal, BlochVector, ZERO_TEMPERATURE
 
-from conftest import bloch_vectors
+from conftest import bloch_vectors, random_bloch
 
 TOL = 1e-15
 SETTINGS = settings(max_examples=30, deadline=None, derandomize=True)
@@ -108,7 +108,7 @@ def test_jcm_series_matches_matrix_path(r, beta, cos2):
     bath = BathThermal(beta)
     phi = np.arccos(np.sqrt(cos2))
     rho_ee, rho_eg = tls.jcm_thermal_series(r, tls.jcm_bath_sums(bath, phi))
-    got = metrics.traceless_qubit_distance(rho_ee, rho_eg)
+    got = np.hypot(rho_ee, np.abs(rho_eg))  # the CLI's thermal jcm column
     for p, value in zip(phi, got):
         check_qubit(value, tls.jcm_thermal_components(r, bath, float(p)), tls.ground_state())
 
@@ -126,8 +126,7 @@ def test_jcm_zero_temperature_law_matches_matrix_path(r, cos2):
 @given(r=bloch_vectors(), beta=st.sampled_from([math.inf, 0.1, 1.0]), cos2=cos2_grids)
 def test_pair_components_match_matrix_path(r, beta, cos2):
     bath = BathThermal(beta)
-    rho_ee, _, rho_eg = tls.tls_pair_components(r, bath, cos2)
-    got = metrics.traceless_qubit_distance(rho_ee - bath.p_excited, rho_eg)
+    got = tls.jcm_trace_distance(r, cos2, bath.p_excited)
     if bath.is_zero_temperature:
         assert np.max(np.abs(got - tls.jcm_trace_distance(r, cos2))) <= TOL
     target = np.diag([bath.p_excited, bath.p_ground]).astype(complex)
@@ -236,8 +235,7 @@ oscillator_states = st.one_of(
 
 def pair_distance(r, bath, cos2):
     """Distance of the qubit-pair state to its bath-thermal fixed point, as the CLI writes it."""
-    rho_ee, _, rho_eg = tls.tls_pair_components(r, bath, cos2)
-    return metrics.traceless_qubit_distance(rho_ee - bath.p_excited, rho_eg)
+    return tls.jcm_trace_distance(r, cos2, bath.p_excited)
 
 
 def assert_in_range_and_non_decreasing(values, upper):
@@ -365,3 +363,36 @@ def test_distance_laws_against_60_digit_references_at_the_extremes():
     # 1e-8, alpha 1e-75 at c = 1e-300 and alpha 1e-8 at c = 1e-300
     assert sorted(underflowed) == ["coherent hs"] * 6 + ["coherent trace"] * 6
     assert {law: err for law, err in worst.items() if err > bounds[law]} == {}, worst
+
+
+def test_qubit_law_against_50_digit_reference_at_every_bath():
+    """The pair law (and at beta = inf the jcm law) against mpmath at 50 digits.
+
+    The reference takes the bath's excited weight exactly from the float beta;
+    the law gets the float ``p_excited`` the CLI passes.  Writing the weight
+    as (1 + rz)/2 - p_e keeps it exact where the bath is cold: the spelling
+    (rz + p_ground - p_excited)/2 loses ~1e-4 relative at rz = -1, beta = 30,
+    since p_ground = 1 - p_excited is rounded.
+    """
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(43)
+    blochs = [BlochVector(0.0, 0.0, -1.0), BlochVector(0.0, 0.0, 1.0), BlochVector(0.6, 0.0, -0.8)]
+    blochs += [random_bloch(rng) for _ in range(60)]
+    cos2 = np.array([1e-300, 1e-200, 1e-150, 1e-100, 1e-30, 1e-8, 0.01, 0.3, 0.5, 0.9, 1.0 - 1e-9, 1.0])
+    tiny = np.finfo(float).tiny
+    worst = 0.0
+    with mp.workdps(50):
+        for beta in (0.3, 1.0, 5.0, 30.0, math.inf):
+            pe = 0.0 if math.isinf(beta) else BathThermal(beta).p_excited
+            pe_exact = mp.mpf(0) if math.isinf(beta) else 1 / (1 + mp.exp(mp.mpf(beta)))
+            for r in blochs:
+                got = tls.jcm_trace_distance(r, cos2, pe)
+                w = (1 + mp.mpf(r.rz)) / 2 - pe_exact
+                perp2 = mp.mpf(r.rx) ** 2 + mp.mpf(r.ry) ** 2
+                for c, value in zip(cos2.tolist(), got.tolist()):
+                    cm = mp.mpf(c)
+                    exact = mp.sqrt(w**2 * cm**2 + perp2 * cm / 4)
+                    if exact < tiny:
+                        continue
+                    worst = max(worst, float(abs(value - exact) / exact))
+    assert worst <= 1e-15

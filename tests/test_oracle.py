@@ -6,16 +6,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mpemba_qsim import linalg, oracle, oscillator, tls
+from mpemba_qsim import oracle, oscillator, tls
 from mpemba_qsim.errors import DimensionError, StateError, TruncationError, TruncationWarning
 from mpemba_qsim.oscillator import Coherent, Fock, Thermal
 from mpemba_qsim.states import BathThermal, BlochVector, ZERO_TEMPERATURE, bloch_density_matrix
 
 from conftest import (
+    PAULI_Z,
+    SIGMA_MINUS,
+    SIGMA_PLUS,
     bloch_vectors,
     ladder_lowering,
     number_operator,
+    partial_trace_b,
+    propagator,
     random_bloch,
+    tensor,
     validate_density_matrix,
 )
 
@@ -79,8 +85,8 @@ class TestOscillatorOracle:
             levels = len(rho_sys)
             u = dense_oscillator_reference(0.6, kappa, levels)
             vacuum = np.diag(np.eye(levels)[0]).astype(complex)
-            rho = u @ linalg.tensor(rho_sys, vacuum) @ u.conj().T
-            dense = linalg.partial_trace_b(rho, levels, levels)[:dim, :dim]
+            rho = u @ tensor(rho_sys, vacuum) @ u.conj().T
+            dense = partial_trace_b(rho, levels, levels)[:dim, :dim]
             dense /= np.trace(dense).real
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", TruncationWarning)
@@ -90,9 +96,9 @@ class TestOscillatorOracle:
     def test_excitation_conservation_before_partial_trace(self):
         # <n_a> + <n_b> in the composite state is kappa-independent
         levels = 8
-        n_tot = linalg.tensor(
+        n_tot = tensor(
             number_operator(levels), np.eye(levels, dtype=complex)
-        ) + linalg.tensor(np.eye(levels, dtype=complex), number_operator(levels))
+        ) + tensor(np.eye(levels, dtype=complex), number_operator(levels))
         psi0 = np.kron(np.eye(levels)[3], np.eye(levels)[0])
         values = []
         for kappa in np.linspace(0.0, math.pi, 7):
@@ -162,29 +168,29 @@ class TestTlsPairOracle:
                 expected = tls.tls_pair_evolve(r, bath, math.cos(mu) ** 2, wt)
                 assert np.max(np.abs(got - expected)) <= 1e-12
 
-    def test_constant_generators_are_bit_identical(self, rng):
-        for beta in (math.inf, 1.0):
+    def test_sector_route_matches_dense_route(self, rng):
+        # the JCM sector engine on a two-level partner against the dense 4x4
+        # qubit x qubit propagator, within the bound of the JCM sector tests
+        for beta in (math.inf, 0.3, 1.0, 5.0):
             bath = BathThermal(beta)
             for _ in range(10):
                 r = random_bloch(rng)
-                mu, wt = float(rng.uniform(0.0, 3.0)), float(rng.uniform(0.0, 5.0))
+                mu, wt = float(rng.uniform(0.0, 3.0)), float(rng.uniform(-5.0, 5.0))
                 got = oracle.tls_pair_oracle(r, bath, mu, wt)
-                assert np.array_equal(got, dense_tls_pair_oracle(r, bath, mu, wt))
+                assert np.max(np.abs(got - dense_tls_pair_oracle(r, bath, mu, wt))) <= 1e-12
 
 
 def dense_tls_pair_oracle(r, bath, mu, omega_t):
-    """The pair oracle with its generators rebuilt by Kronecker products on every call."""
-    rho0 = linalg.tensor(
+    """Qubit x thermal qubit evolved with the dense 4x4 exchange propagator, then reduced."""
+    rho0 = tensor(
         bloch_density_matrix(r), np.diag([bath.p_excited, bath.p_ground]).astype(complex)
     )
-    sz = linalg.PAULI_Z
     eye = np.eye(2, dtype=complex)
-    gen = 0.5 * omega_t * (linalg.tensor(sz, eye) + linalg.tensor(eye, sz)) + mu * (
-        linalg.tensor(linalg.SIGMA_MINUS, linalg.SIGMA_PLUS)
-        + linalg.tensor(linalg.SIGMA_PLUS, linalg.SIGMA_MINUS)
+    gen = 0.5 * omega_t * (tensor(PAULI_Z, eye) + tensor(eye, PAULI_Z)) + mu * (
+        tensor(SIGMA_MINUS, SIGMA_PLUS) + tensor(SIGMA_PLUS, SIGMA_MINUS)
     )
-    u = linalg.propagator(gen)
-    return linalg.partial_trace_b(u @ rho0 @ u.conj().T, 2, 2)
+    u = propagator(gen)
+    return partial_trace_b(u @ rho0 @ u.conj().T, 2, 2)
 
 
 def dense_oscillator_reference(omega0_t, kappa, levels):
@@ -196,25 +202,25 @@ def dense_oscillator_reference(omega0_t, kappa, levels):
     a = ladder_lowering(levels)
     eye = np.eye(levels, dtype=complex)
     num = number_operator(levels)
-    gen = omega0_t * (linalg.tensor(num, eye) + linalg.tensor(eye, num)) + kappa * (
-        linalg.tensor(a, a.conj().T) + linalg.tensor(a.conj().T, a)
+    gen = omega0_t * (tensor(num, eye) + tensor(eye, num)) + kappa * (
+        tensor(a, a.conj().T) + tensor(a.conj().T, a)
     )
-    return linalg.propagator(gen)
+    return propagator(gen)
 
 
 def dense_jcm_reference(r, mode_pops, phi, omega_t):
     """Qubit x mode evolved with the dense 2dim x 2dim propagator, then reduced."""
     dim = len(mode_pops)
-    rho0 = linalg.tensor(bloch_density_matrix(r), np.diag(mode_pops).astype(complex))
+    rho0 = tensor(bloch_density_matrix(r), np.diag(mode_pops).astype(complex))
     b = ladder_lowering(dim)
-    coupling = linalg.tensor(linalg.SIGMA_PLUS, b) + linalg.tensor(
-        linalg.SIGMA_MINUS, b.conj().T
+    coupling = tensor(SIGMA_PLUS, b) + tensor(
+        SIGMA_MINUS, b.conj().T
     )
-    u_int = linalg.propagator(phi * coupling)
+    u_int = propagator(phi * coupling)
     free_qubit = np.exp(-0.5j * omega_t * np.array([1.0, -1.0]))
     free_mode = np.exp(-1j * omega_t * np.arange(dim))
     u = np.diag(np.kron(free_qubit, free_mode)) @ u_int
-    return linalg.partial_trace_b(u @ rho0 @ u.conj().T, 2, dim)
+    return partial_trace_b(u @ rho0 @ u.conj().T, 2, dim)
 
 
 class TestJcmOracle:
